@@ -8,19 +8,16 @@
 //! rounds vs the round-occupancy engine at `n = m = 10⁷`) — one row per
 //! cell, each tagged with its `scenario`
 //! (`uniform` | `weighted` | `parallel` | `stream`), and writes a
-//! machine-readable JSON record (schema v6) so the perf trajectory is
-//! tracked in-repo.
-//! The parallel family additionally runs the sharded concurrent
-//! single-run engine at 1, 2 and 8 worker threads (deterministic mode)
-//! — each row carries `threads`, the worker count *inside* the run.
+//! machine-readable JSON record (schema v7) so the perf trajectory is
+//! tracked in-repo. Every run is single-threaded, so rows carry no
+//! thread count.
 //! Each row carries `loads_materialized`: whether the outcome ever
 //! built its dense per-bin vector, plus the serve-mode degradation
 //! ledger `shed_rate`/`alive_frac` (0.0/1.0 for every batch row).
 //! Serve-mode (`scenario = stream`) rows run the churn + fault-plan
-//! driver — the serial reference at 1 thread and the dense sharded
-//! concurrent engine at 2 and 8 threads — with a mid-run mass failure
-//! and recovery, so the matrix tracks the sustained-throughput story,
-//! not just the batch one. Full (non-smoke) runs add the
+//! driver with a mid-run mass failure and recovery, so the matrix
+//! tracks the sustained-throughput story, not just the batch one. Full
+//! (non-smoke) runs add the
 //! giant-n histogram-only rows — adaptive and collision at `n = 10⁸`
 //! and `10⁹` — which are only possible because the lazy outcome keeps
 //! memory independent of `n`. The committed `BENCH_engines.json` at
@@ -46,7 +43,7 @@ use bib_core::prelude::*;
 use bib_core::run::run_protocol;
 use bib_core::stream::stream_name;
 use bib_parallel::protocols::{BoundedLoad, Collision, ParallelGreedy};
-use bib_parallel::{available_threads, par_map, serve_concurrent};
+use bib_parallel::{available_threads, par_map};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -96,8 +93,6 @@ struct Cell {
     n: usize,
     m: u64,
     reps: u64,
-    /// Worker threads inside each run (1 for every serial engine).
-    threads: usize,
     wall_ms_mean: f64,
     wall_ms_best: f64,
     samples_per_ball: f64,
@@ -120,14 +115,7 @@ fn measure(spec: &Spec, seed: u64) -> Cell {
         let seed = seed.wrapping_add(rep);
         match &spec.work {
             Work::Batch(proto) => run_protocol(proto.as_ref(), &spec.cfg, seed),
-            Work::Stream(sspec, family) => {
-                let report = if spec.cfg.threads > 1 {
-                    serve_concurrent(sspec, *family, &spec.cfg, seed)
-                } else {
-                    serve(sspec, *family, &spec.cfg, seed)
-                };
-                report.outcome
-            }
+            Work::Stream(sspec, family) => serve(sspec, *family, &spec.cfg, seed).outcome,
         }
     };
     if spec.reps > 1 {
@@ -163,7 +151,6 @@ fn measure(spec: &Spec, seed: u64) -> Cell {
         n: spec.cfg.n,
         m: spec.cfg.m,
         reps: spec.reps,
-        threads: spec.cfg.threads,
         wall_ms_mean,
         wall_ms_best,
         samples_per_ball: if spec.cfg.m == 0 {
@@ -332,17 +319,6 @@ fn main() {
             };
             specs.push(Spec::batch(make(), cfg, reps, engine.name(), None));
         }
-        // The concurrent single-run engine (deterministic mode) at 1,
-        // 2 and 8 worker threads — the first multi-thread rows in the
-        // matrix. Deterministic mode is bit-identical across thread
-        // counts, so these rows isolate the scaling of one identical
-        // placement.
-        for threads in [1usize, 2, 8] {
-            let cfg = RunConfig::new(n_p, n_p as u64)
-                .with_engine(Engine::Concurrent)
-                .with_threads(threads);
-            specs.push(Spec::batch(make(), cfg, 3, Engine::Concurrent.name(), None));
-        }
     }
 
     // Giant-n histogram-only rows: with the lazy outcome the engine's
@@ -376,12 +352,10 @@ fn main() {
 
     // Serve-mode rows: a seeded churn stream with a mid-run mass
     // failure (half the fleet dies, later recovers) under the default
-    // retry/backoff policy — the serial reference driver at 1 thread
-    // and the dense sharded concurrent engine at 2 and 8 workers. The
+    // retry/backoff policy, one row per placement family. The
     // degradation ledger lands in the row as `shed_rate`/`alive_frac`;
-    // `balls-lint --check-bench` requires at least one stream row
-    // (full runs: one with threads > 1), so serve mode can never
-    // silently drop out of the committed matrix.
+    // `balls-lint --check-bench` requires at least one stream row, so
+    // serve mode can never silently drop out of the committed matrix.
     let (n_s, ticks_s) = if smoke {
         (512usize, 40u64)
     } else {
@@ -409,15 +383,6 @@ fn main() {
             name: None,
         });
     }
-    for stream_threads in if smoke { vec![2usize] } else { vec![2usize, 8] } {
-        specs.push(Spec {
-            work: Work::Stream(stream_spec(), Family::Greedy(2)),
-            cfg: RunConfig::new(n_s, m_s).with_threads(stream_threads),
-            reps: 3,
-            engine: Engine::Concurrent.name(),
-            name: None,
-        });
-    }
 
     let threads = if serial {
         1
@@ -428,7 +393,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"bib-bench/engines/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"bib-bench/engines/v7\",");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(
@@ -442,7 +407,7 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"protocol\": \"{}\", \"scenario\": \"{}\", \"engine\": \"{}\", \
-             \"n\": {}, \"m\": {}, \"reps\": {}, \"threads\": {}, \"wall_ms_mean\": {:.3}, \
+             \"n\": {}, \"m\": {}, \"reps\": {}, \"wall_ms_mean\": {:.3}, \
              \"wall_ms_best\": {:.3}, \"samples_per_ball\": {:.6}, \"mballs_per_sec\": {:.3}, \
              \"loads_materialized\": {}, \"shed_rate\": {:.6}, \"alive_frac\": {:.6}}}",
             c.protocol,
@@ -451,7 +416,6 @@ fn main() {
             c.n,
             c.m,
             c.reps,
-            c.threads,
             c.wall_ms_mean,
             c.wall_ms_best,
             c.samples_per_ball,
@@ -473,13 +437,12 @@ fn main() {
         threads
     );
     println!(
-        "{:<20} {:<10} {:>14} {:>11} {:>13} {:>4} {:>12} {:>12} {:>14} {:>12} {:>6} {:>9} {:>7}",
+        "{:<20} {:<10} {:>14} {:>11} {:>13} {:>12} {:>12} {:>14} {:>12} {:>6} {:>9} {:>7}",
         "protocol",
         "scenario",
         "engine",
         "n",
         "m",
-        "thr",
         "wall_mean",
         "wall_best",
         "samples/ball",
@@ -490,13 +453,12 @@ fn main() {
     );
     for c in &cells {
         println!(
-            "{:<20} {:<10} {:>14} {:>11} {:>13} {:>4} {:>12.3} {:>12.3} {:>14.4} {:>12.2} {:>6} {:>9.5} {:>7.3}",
+            "{:<20} {:<10} {:>14} {:>11} {:>13} {:>12.3} {:>12.3} {:>14.4} {:>12.2} {:>6} {:>9.5} {:>7.3}",
             c.protocol,
             c.scenario,
             c.engine,
             c.n,
             c.m,
-            c.threads,
             c.wall_ms_mean,
             c.wall_ms_best,
             c.samples_per_ball,

@@ -13,18 +13,13 @@
 //! sequential experiment, honouring `--threads` — and, since the
 //! round-occupancy engine, `--engine` (default `faithful`; `histogram`
 //! or `auto` run the batched rounds, which makes the full sweep's
-//! largest sizes near-instant).
-//!
-//! With `--reps 1`, `--threads <n>` moves *inside* the run: the sweep
-//! routes into the sharded concurrent single-run engine
-//! (`--engine concurrent`, or `auto` promoted by the thread count),
-//! deterministic by default, contention-ordered with `--racy`. The
-//! header names the path taken.
+//! largest sizes near-instant). `--threads` only spreads replicates:
+//! every run is single-threaded, so the table is the same at any
+//! thread count.
 //!
 //! ```text
 //! cargo run --release -p bib-bench --bin parallel_rounds \
-//!     [-- --quick --csv --threads <n> --racy \
-//!      --engine <faithful|histogram|auto|concurrent>]
+//!     [-- --quick --csv --threads <n> --engine <faithful|histogram|auto>]
 //! ```
 
 use bib_bench::{f, ExpArgs, Table};
@@ -38,8 +33,12 @@ fn main() {
     let exps: Vec<u32> = args.pick(vec![8, 10, 12, 14, 16, 18, 20], vec![8, 10, 12]);
     let reps = args.reps_or(10, 3);
 
+    let engine = args.engine_or(Engine::Faithful);
     println!("# Parallel protocols at m = n; {reps} reps");
-    println!("{}\n", args.round_path_header(reps, Engine::Faithful));
+    println!(
+        "# path: {engine} engine per run, replicates across {} thread(s)\n",
+        args.threads_or_available()
+    );
     let mut table = Table::new(vec![
         "scenario",
         "n",
@@ -56,7 +55,7 @@ fn main() {
 
     for &e in &exps {
         let n = 1usize << e;
-        let cfg = args.round_run_config(n, n as u64, reps, Engine::Faithful);
+        let cfg = RunConfig::new(n, n as u64).with_engine(engine);
         let spec = args.replicate_spec(reps);
         let bl = replicate_outcomes(&BoundedLoad::new(2), &cfg, &spec);
         let co = replicate_outcomes(&Collision::new(1), &cfg, &spec);

@@ -13,14 +13,10 @@
 //!   the simulation engine (threshold-style protocols support all five;
 //!   `one-choice`/`greedy[d]` and the weighted family additionally
 //!   understand `histogram` and `auto`);
-//! * `--threads <n>` — worker threads for replicated/parallel cells
-//!   (default: machine parallelism; `1` forces serial execution). On a
-//!   single-replicate parallel-round run the threads move *inside* the
-//!   run: the concurrent engine shares one placement across workers;
-//! * `--racy` — opt out of the concurrent engine's deterministic mode:
-//!   placements are ordered by true contention (statistically validated
-//!   against the faithful path, but not bit-reproducible). Serial
-//!   engines ignore it;
+//! * `--threads <n>` — worker threads across independent replicates
+//!   (default: machine parallelism; `1` forces serial execution). Every
+//!   run itself is single-threaded, so the thread count never changes a
+//!   result;
 //! * `--out <path>` — write the tables (in the chosen format) to a file
 //!   instead of stdout; commentary stays on stdout. Multiple tables
 //!   append in order;
@@ -48,9 +44,6 @@ pub struct ExpArgs {
     pub engine: Option<Engine>,
     /// Worker-thread override for replicated cells (`Some(1)` = serial).
     pub threads: Option<usize>,
-    /// Concurrent engine: racy (contention-ordered) instead of the
-    /// deterministic per-chunk-stream mode.
-    pub racy: bool,
     /// Table output path (`None` = stdout).
     pub out: Option<String>,
     /// Emit CSV instead of an aligned table.
@@ -82,7 +75,6 @@ impl ExpArgs {
             reps: None,
             engine: None,
             threads: None,
-            racy: false,
             out: None,
             csv: false,
             no_loads: false,
@@ -109,7 +101,6 @@ impl ExpArgs {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
-                "--racy" => out.racy = true,
                 "--csv" => out.csv = true,
                 "--no-loads" => out.no_loads = true,
                 "--seed" => {
@@ -145,8 +136,8 @@ impl ExpArgs {
                     if !extra(other, &mut args) {
                         panic!(
                             "unknown flag {other}; supported: --quick --csv --no-loads \
-                             --racy --seed <u64> --reps <u64> \
-                             --engine <faithful|jump|level-batched|histogram|auto|concurrent> \
+                             --seed <u64> --reps <u64> \
+                             --engine <faithful|jump|level-batched|histogram|auto> \
                              --threads <n> --out <path>"
                         )
                     }
@@ -180,53 +171,6 @@ impl ExpArgs {
         match self.threads {
             Some(t) => spec.with_threads(t),
             None => spec,
-        }
-    }
-
-    /// The [`RunConfig`](bib_core::protocol::RunConfig) for one
-    /// parallel-round cell. With more than one replicate, `--threads`
-    /// parallelizes the replicates and each run stays serial. With
-    /// exactly one replicate the threads move *inside* the run: the
-    /// config carries the thread count, and the default engine is
-    /// promoted to `Auto` so the round family resolves it to the
-    /// concurrent single-run engine (an explicit `--engine` still
-    /// wins). `--racy` is forwarded either way — serial engines ignore
-    /// it.
-    pub fn round_run_config(
-        &self,
-        n: usize,
-        m: u64,
-        reps: u64,
-        default: Engine,
-    ) -> bib_core::protocol::RunConfig {
-        let threads = self.threads_or_available();
-        let single = reps == 1 && threads > 1;
-        let engine = self.engine_or(if single { Engine::Auto } else { default });
-        let mut cfg = bib_core::protocol::RunConfig::new(n, m)
-            .with_engine(engine)
-            .with_racy(self.racy);
-        if single {
-            cfg = cfg.with_threads(threads);
-        }
-        cfg
-    }
-
-    /// One human-readable line naming the execution path
-    /// [`ExpArgs::round_run_config`] selected, for experiment headers.
-    pub fn round_path_header(&self, reps: u64, default: Engine) -> String {
-        let threads = self.threads_or_available();
-        let single = reps == 1 && threads > 1;
-        let engine = self.engine_or(if single { Engine::Auto } else { default });
-        let concurrent =
-            matches!(engine, Engine::Concurrent) || (single && matches!(engine, Engine::Auto));
-        if concurrent {
-            let mode = if self.racy { "racy" } else { "deterministic" };
-            format!("# path: concurrent single-run engine, {threads} threads, {mode} mode")
-        } else {
-            format!(
-                "# path: {} engine per run, replicates across {threads} thread(s)",
-                engine.name()
-            )
         }
     }
 
@@ -439,41 +383,6 @@ mod tests {
         assert_eq!(spec.seed, 2013);
         let b = ExpArgs::new();
         assert_eq!(b.replicate_spec(4).threads, None);
-    }
-
-    #[test]
-    fn round_run_config_moves_threads_inside_single_replicate_runs() {
-        let a = ExpArgs {
-            threads: Some(8),
-            racy: true,
-            ..ExpArgs::new()
-        };
-        // One replicate: the run itself is threaded and the default
-        // engine is promoted to Auto (which the round family resolves
-        // to the concurrent engine at threads > 1).
-        let single = a.round_run_config(1024, 1024, 1, Engine::Faithful);
-        assert_eq!(single.engine, Engine::Auto);
-        assert_eq!(single.threads, 8);
-        assert!(single.racy);
-        assert!(a
-            .round_path_header(1, Engine::Faithful)
-            .contains("concurrent single-run engine, 8 threads, racy"));
-        // Several replicates: threads parallelize replicates, each run
-        // keeps the experiment's default serial engine.
-        let multi = a.round_run_config(1024, 1024, 10, Engine::Faithful);
-        assert_eq!(multi.engine, Engine::Faithful);
-        assert_eq!(multi.threads, 1);
-        assert!(a
-            .round_path_header(10, Engine::Faithful)
-            .contains("faithful engine per run"));
-        // An explicit --engine always wins over the promotion.
-        let forced = ExpArgs {
-            threads: Some(8),
-            engine: Some(Engine::Histogram),
-            ..ExpArgs::new()
-        };
-        let cfg = forced.round_run_config(1024, 1024, 1, Engine::Faithful);
-        assert_eq!(cfg.engine, Engine::Histogram);
     }
 
     #[test]

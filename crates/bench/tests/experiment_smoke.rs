@@ -268,20 +268,21 @@ fn bench_json_smoke_writes_valid_json() {
     assert!(echo.contains("level-batched"));
     assert!(echo.contains("histogram"));
     let json = std::fs::read_to_string(&out_path).expect("bench_json must write its output file");
-    assert!(json.contains("\"schema\": \"bib-bench/engines/v6\""));
+    assert!(json.contains("\"schema\": \"bib-bench/engines/v7\""));
     assert!(json.contains("\"host\""), "host metadata missing");
-    assert!(json.contains("\"threads\""), "thread count missing");
+    assert!(json.contains("\"threads\""), "worker-thread count missing");
     assert!(json.contains("\"rustc\""), "rustc version missing");
     // Full matrix: 3 sizes x (4 engines + auto) x 2 protocols, plus the
     // fixed-sample block at the heavy size (2 protocols x 3 engines),
     // the weighted block (3 weight shapes x (3 adaptive engines + 1
     // one-choice row)), the parallel-round block (3 protocols x
-    // ({faithful, histogram, auto} + concurrent at 1/2/8 threads)) and
-    // the serve-mode block (2 serial families + 1 concurrent row).
-    assert_eq!(json.matches("\"protocol\"").count(), 69);
-    // Every row is tagged with its scenario, records (schema v4)
-    // whether it ever materialized the dense load vector, and carries
-    // (schema v5) its in-run worker-thread count.
+    // {faithful, histogram, auto}) and the serve-mode block (2
+    // families).
+    assert_eq!(json.matches("\"protocol\"").count(), 59);
+    // Every row is tagged with its scenario and records (schema v4)
+    // whether it ever materialized the dense load vector; since every
+    // run is single-threaded (schema v7) only the host header carries
+    // a thread count.
     assert_eq!(
         json.matches("\"protocol\"").count(),
         json.matches("\"scenario\"").count(),
@@ -297,22 +298,11 @@ fn bench_json_smoke_writes_valid_json() {
         "histogram rows must stay lazy"
     );
     assert_eq!(
-        json.matches("\"protocol\"").count(),
-        json.matches("\"threads\":").count() - 1, // host header has one too
-        "every row must carry its thread count"
+        json.matches("\"threads\":").count(),
+        1,
+        "only the host header carries a thread count"
     );
-    assert!(
-        json.contains("\"threads\": 8"),
-        "the concurrent engine must contribute multi-thread rows"
-    );
-    for engine in [
-        "faithful",
-        "jump",
-        "level-batched",
-        "histogram",
-        "auto",
-        "concurrent",
-    ] {
+    for engine in ["faithful", "jump", "level-batched", "histogram", "auto"] {
         assert!(
             json.contains(&format!("\"engine\": \"{engine}\"")),
             "missing engine {engine}"

@@ -2,517 +2,18 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the *subset* of the crossbeam API that `bib-parallel`
-//! actually uses:
+//! actually uses: multi-producer/single-consumer channels created with
+//! [`channel::bounded`] (clonable senders, an iterable receiver), which
+//! carry replicate results back to the caller in `bib-parallel`'s
+//! executor.
 //!
-//! * multi-producer/single-consumer channels created with
-//!   [`channel::bounded`] (clonable senders, an iterable receiver);
-//! * [`atomic::AtomicCell`], a lock-free cell over the primitive
-//!   integer/bool types, in the spirit of `crossbeam_utils`'s cell
-//!   (every operation is `SeqCst`, like the original);
-//! * [`pool::scoped`], a scoped worker pool with a per-round barrier
-//!   ([`pool::Rounds`]) for round-synchronous supersteps — the shape
-//!   the concurrent single-run engine in `bib-parallel` needs.
-//!
-//! The implementations delegate to `std::sync` (`mpsc`, `atomic`,
-//! `Barrier`, `thread::scope`), which provide the same semantics for
-//! these usage patterns. Swapping in the real crossbeam later only
-//! requires deleting this crate from the workspace and pointing
-//! `[workspace.dependencies]` at the registry.
+//! The implementation delegates to `std::sync::mpsc`, which provides
+//! the same semantics for this usage pattern. Swapping in the real
+//! crossbeam later only requires deleting this crate from the
+//! workspace and pointing `[workspace.dependencies]` at the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod atomic {
-    //! Lock-free cells over primitive types, mirroring the
-    //! `crossbeam_utils::atomic::AtomicCell` API subset the workspace
-    //! uses. All operations are `SeqCst`, matching the original's
-    //! contract — callers that can justify weaker orderings use
-    //! `std::sync::atomic` directly (see `bib-parallel`'s concurrent
-    //! engine, where every ordering carries its argument).
-
-    // ORDERING: SeqCst everywhere in this module — the cell's contract.
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-    mod sealed {
-        pub trait Sealed {}
-    }
-
-    /// A primitive type with a native lock-free atomic representation.
-    ///
-    /// Sealed: exactly `u32`, `u64`, `usize` and `bool` — the types the
-    /// workspace's concurrent code stores in shared cells.
-    pub trait Primitive: sealed::Sealed + Copy {
-        /// The backing `std::sync::atomic` type.
-        type Repr;
-        /// Wraps a value.
-        fn into_repr(self) -> Self::Repr;
-        /// Atomically loads (`SeqCst`).
-        fn load(repr: &Self::Repr) -> Self;
-        /// Atomically stores (`SeqCst`).
-        fn store(repr: &Self::Repr, v: Self);
-        /// Atomically swaps (`SeqCst`), returning the previous value.
-        fn swap(repr: &Self::Repr, v: Self) -> Self;
-        /// Atomic compare-exchange. ORDERING: `SeqCst` on both edges.
-        /// RETRY: a single attempt, not a loop — [`AtomicCell::fetch_update`]
-        /// owns the retry loop and its termination argument.
-        fn compare_exchange(repr: &Self::Repr, current: Self, new: Self) -> Result<Self, Self>;
-        /// Consumes the cell, returning the inner value.
-        fn into_inner(repr: Self::Repr) -> Self;
-    }
-
-    macro_rules! impl_primitive {
-        ($($ty:ty => $atomic:ty),+ $(,)?) => {$(
-            impl sealed::Sealed for $ty {}
-            impl Primitive for $ty {
-                type Repr = $atomic;
-                fn into_repr(self) -> $atomic {
-                    <$atomic>::new(self)
-                }
-                fn load(repr: &$atomic) -> $ty {
-                    // ORDERING: SeqCst across the board — AtomicCell
-                    // mirrors crossbeam's strongest-by-default contract
-                    // so callers never reason about ordering here.
-                    repr.load(Ordering::SeqCst)
-                }
-                fn store(repr: &$atomic, v: $ty) {
-                    // ORDERING: SeqCst; see `load`.
-                    repr.store(v, Ordering::SeqCst)
-                }
-                fn swap(repr: &$atomic, v: $ty) -> $ty {
-                    // ORDERING: SeqCst; see `load`.
-                    repr.swap(v, Ordering::SeqCst)
-                }
-                // RETRY: a single attempt, not a loop — `fetch_update`
-                // owns the retry loop and its termination argument.
-                // ORDERING: SeqCst on both edges; see the body.
-                fn compare_exchange(
-                    repr: &$atomic,
-                    current: $ty,
-                    new: $ty,
-                ) -> Result<$ty, $ty> {
-                    // ORDERING: SeqCst on success and failure; see
-                    // `load`. RETRY: single attempt (no loop).
-                    repr.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
-                fn into_inner(repr: $atomic) -> $ty {
-                    repr.into_inner()
-                }
-            }
-        )+};
-    }
-
-    // ORDERING: SeqCst — the macro body above pins every operation.
-    impl_primitive!(u32 => AtomicU32, u64 => AtomicU64, usize => AtomicUsize, bool => AtomicBool);
-
-    /// A thread-safe mutable cell, lock-free for the supported
-    /// [`Primitive`] types. ORDERING: every operation is `SeqCst`.
-    pub struct AtomicCell<T: Primitive> {
-        repr: T::Repr,
-    }
-
-    // ORDERING: SeqCst throughout — delegated to [`Primitive`].
-    impl<T: Primitive> AtomicCell<T> {
-        /// Creates a cell initialized to `value`.
-        pub fn new(value: T) -> Self {
-            Self {
-                repr: value.into_repr(),
-            }
-        }
-
-        /// Loads the current value.
-        pub fn load(&self) -> T {
-            T::load(&self.repr)
-        }
-
-        /// Stores `value`.
-        pub fn store(&self, value: T) {
-            T::store(&self.repr, value)
-        }
-
-        /// Swaps in `value`, returning the previous value.
-        pub fn swap(&self, value: T) -> T {
-            T::swap(&self.repr, value)
-        }
-
-        /// Compare-exchange: replaces `current` with `new`, returning
-        /// `Ok(previous)` on success and `Err(actual)` on mismatch.
-        /// ORDERING: `SeqCst` both edges. RETRY: a single attempt, not
-        /// a loop — [`Self::fetch_update`] owns the retry loop.
-        pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T> {
-            T::compare_exchange(&self.repr, current, new)
-        }
-
-        /// CAS retry loop: applies `f` to the observed value until the
-        /// exchange lands or `f` returns `None`. Returns the *previous*
-        /// value on success, the last observed value on `None`.
-        // RETRY: terminates because each failed compare_exchange returns
-        // the freshly observed value, so the loop only repeats while
-        // other threads make progress (lock-free, not wait-free — the
-        // standard fetch_update contract); `None` exits immediately.
-        // ORDERING: SeqCst via the delegated cell operations.
-        pub fn fetch_update<F>(&self, mut f: F) -> Result<T, T>
-        where
-            F: FnMut(T) -> Option<T>,
-        {
-            let mut observed = self.load();
-            while let Some(new) = f(observed) {
-                // RETRY: see the contract above. ORDERING: SeqCst.
-                match self.compare_exchange(observed, new) {
-                    Ok(prev) => return Ok(prev),
-                    Err(actual) => observed = actual,
-                }
-            }
-            Err(observed)
-        }
-
-        /// Consumes the cell, returning the inner value.
-        pub fn into_inner(self) -> T {
-            T::into_inner(self.repr)
-        }
-    }
-
-    // ORDERING: SeqCst load via the cell's contract.
-    impl<T: Primitive + std::fmt::Debug> std::fmt::Debug for AtomicCell<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_tuple("AtomicCell").field(&self.load()).finish()
-        }
-    }
-
-    // ORDERING: no shared state yet — constructs a fresh cell.
-    impl<T: Primitive + Default> Default for AtomicCell<T> {
-        fn default() -> Self {
-            Self::new(T::default())
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn load_store_swap() {
-            // ORDERING: SeqCst — the cell's fixed contract.
-            let c = AtomicCell::new(5u64);
-            assert_eq!(c.load(), 5);
-            c.store(9);
-            assert_eq!(c.swap(11), 9);
-            assert_eq!(c.into_inner(), 11);
-        }
-
-        #[test]
-        fn fetch_update_bounded_increment() {
-            // ORDERING: SeqCst cell. RETRY: the counter saturates at 2,
-            // after which the closure returns None and the loop exits.
-            let c = AtomicCell::new(0u32);
-            // Saturating-at-2 counter: two successes, then rejection.
-            let bump = |c: &AtomicCell<u32>| c.fetch_update(|v| (v < 2).then_some(v + 1));
-            assert_eq!(bump(&c), Ok(0));
-            assert_eq!(bump(&c), Ok(1));
-            assert_eq!(bump(&c), Err(2));
-            assert_eq!(c.load(), 2);
-        }
-
-        #[test]
-        fn contended_fetch_update_counts_exactly() {
-            // ORDERING: SeqCst cell.
-            let c = AtomicCell::new(0usize);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        for _ in 0..1000 {
-                            // ORDERING: SeqCst cell. RETRY: lock-free —
-                            // each failure means a competing increment
-                            // landed; 3999 competitors bound the retries.
-                            c.fetch_update(|v| Some(v + 1)).unwrap();
-                        }
-                    });
-                }
-            });
-            assert_eq!(c.load(), 4000);
-        }
-
-        #[test]
-        fn bool_cell_compare_exchange() {
-            // ORDERING: SeqCst cell. RETRY: single attempts, no loop.
-            let c = AtomicCell::new(false);
-            assert_eq!(c.compare_exchange(false, true), Ok(false));
-            assert_eq!(c.compare_exchange(false, true), Err(true));
-        }
-    }
-}
-
-pub mod pool {
-    //! A scoped worker pool with a per-round barrier, for
-    //! round-synchronous supersteps: every worker runs the same closure,
-    //! and [`Rounds::sync`] separates the phases of a round so that all
-    //! writes before the barrier are visible to every worker after it.
-    //!
-    //! # Panic propagation
-    //!
-    //! The barrier is *poisonable*: when any worker panics, every other
-    //! worker parked (or later arriving) at [`Rounds::sync`] is released
-    //! by unwinding instead of waiting for a round that can never
-    //! complete, and the first panic's original payload is re-raised on
-    //! the calling thread after the scope joins. Without this, a
-    //! `std::sync::Barrier` would strand the surviving workers forever
-    //! (the scope join waits on them, they wait on the dead worker).
-
-    use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
-    use std::sync::{Condvar, Mutex, MutexGuard};
-
-    /// Private unwind payload used to release workers parked at a
-    /// poisoned barrier; never surfaced to callers (the *original*
-    /// panic payload is what propagates).
-    struct BarrierPoisoned;
-
-    struct BarrierState {
-        count: usize,
-        generation: u64,
-        poisoned: bool,
-    }
-
-    /// The per-round synchronization handle passed to every worker.
-    pub struct Rounds {
-        lock: Mutex<BarrierState>,
-        cvar: Condvar,
-        workers: usize,
-    }
-
-    impl Rounds {
-        fn new(workers: usize) -> Self {
-            Self {
-                lock: Mutex::new(BarrierState {
-                    count: 0,
-                    generation: 0,
-                    poisoned: false,
-                }),
-                cvar: Condvar::new(),
-                workers,
-            }
-        }
-
-        /// The barrier's own mutex poisoning is impossible by
-        /// construction (no caller panics while holding the guard), but
-        /// recovering the inner state keeps the release path alive even
-        /// if that invariant is ever broken.
-        fn state(&self) -> MutexGuard<'_, BarrierState> {
-            self.lock.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Blocks until every worker has called `sync`. All memory
-        /// writes sequenced before any worker's `sync` happen-before
-        /// everything sequenced after the matching `sync` in every
-        /// other worker (mutex release/acquire on the shared barrier
-        /// state) — this is the only inter-phase ordering the round
-        /// engines rely on.
-        ///
-        /// # Panics
-        ///
-        /// Unwinds (with a private sentinel payload) if the barrier was
-        /// poisoned by a panicking worker; [`scoped`] catches the
-        /// sentinel and re-raises the original panic on the caller.
-        pub fn sync(&self) {
-            let mut st = self.state();
-            if st.poisoned {
-                drop(st);
-                panic_any(BarrierPoisoned);
-            }
-            let gen = st.generation;
-            st.count += 1;
-            if st.count == self.workers {
-                st.count = 0;
-                st.generation += 1;
-                self.cvar.notify_all();
-                return;
-            }
-            // RETRY: condvar wait loop; exits when the round completes
-            // (generation bump) or the barrier is poisoned — both are
-            // one-way transitions, so the loop terminates.
-            while st.generation == gen && !st.poisoned {
-                st = self.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            if st.poisoned && st.generation == gen {
-                // Released by poison, not by a completed round: this
-                // round can never complete, so unwind out of the phase.
-                drop(st);
-                panic_any(BarrierPoisoned);
-            }
-        }
-
-        /// Marks the barrier dead and releases every parked worker.
-        fn poison(&self) {
-            let mut st = self.state();
-            st.poisoned = true;
-            self.cvar.notify_all();
-        }
-
-        /// Number of workers in the pool.
-        pub fn workers(&self) -> usize {
-            self.workers
-        }
-    }
-
-    /// Runs `f(worker_id, rounds)` on `workers` workers (ids
-    /// `0..workers`) inside one `std::thread::scope`. Worker 0 runs on
-    /// the calling thread, so a single-worker pool spawns nothing and a
-    /// multi-worker pool keeps the caller busy instead of parked.
-    ///
-    /// # Panics
-    ///
-    /// If any worker panics, the pool poisons the barrier (releasing
-    /// workers parked at [`Rounds::sync`]), joins every worker, and
-    /// re-raises the **first** panic's original payload on the calling
-    /// thread.
-    pub fn scoped<F>(workers: usize, f: F)
-    where
-        F: Fn(usize, &Rounds) + Sync,
-    {
-        let workers = workers.max(1);
-        let rounds = Rounds::new(workers);
-        if workers == 1 {
-            f(0, &rounds);
-            return;
-        }
-        // First panic's payload; later (sentinel-released) unwinds are
-        // collateral and dropped.
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let run = |w: usize| {
-            // AssertUnwindSafe: on unwind the shared state is either
-            // poisoned (and every observer unwinds too) or untouched by
-            // this worker; nothing is observed in a broken state.
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(w, &rounds))) {
-                if !payload.is::<BarrierPoisoned>() {
-                    let mut slot = first_panic.lock().unwrap_or_else(|e| e.into_inner());
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-                rounds.poison();
-            }
-        };
-        std::thread::scope(|s| {
-            let run = &run;
-            for w in 1..workers {
-                s.spawn(move || run(w));
-            }
-            run(0);
-        });
-        if let Some(payload) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            resume_unwind(payload);
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        // ORDERING: each use below carries its own argument.
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        #[test]
-        fn single_worker_runs_inline() {
-            // ORDERING: Relaxed-only tally; see the increment below.
-            let hits = AtomicU64::new(0);
-            scoped(1, |w, r| {
-                assert_eq!(w, 0);
-                assert_eq!(r.workers(), 1);
-                r.sync(); // must not block with one worker
-                          // ORDERING: Relaxed — single increment, checked after
-                          // `scoped` returns (sequenced on this thread).
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 1);
-        }
-
-        #[test]
-        fn barrier_separates_phases() {
-            // Phase A: every worker contributes; phase B: every worker
-            // must observe the full phase-A total — only true if sync()
-            // is a real barrier with release/acquire semantics.
-            // ORDERING: Relaxed adds; the barrier publishes.
-            let total = AtomicU64::new(0);
-            scoped(4, |_, rounds| {
-                for round in 1..=8u64 {
-                    // ORDERING: Relaxed — the barrier below publishes.
-                    total.fetch_add(round, Ordering::Relaxed);
-                    rounds.sync();
-                    // ORDERING: Relaxed — the barrier above ordered all
-                    // phase-A adds before this read.
-                    assert_eq!(total.load(Ordering::Relaxed) % 4, 0);
-                    rounds.sync(); // keep rounds aligned across workers
-                }
-            });
-            // ORDERING: Relaxed — read after the scope joins.
-            assert_eq!(total.load(Ordering::Relaxed), 4 * 36);
-        }
-
-        #[test]
-        fn worker_ids_cover_the_pool() {
-            // ORDERING: Relaxed-only bitmask; see the union below.
-            let seen = AtomicU64::new(0);
-            scoped(3, |w, _| {
-                // ORDERING: Relaxed — bitmask union, read after join.
-                seen.fetch_or(1 << w, Ordering::Relaxed);
-            });
-            assert_eq!(seen.load(Ordering::Relaxed), 0b111);
-        }
-
-        #[test]
-        fn spawned_worker_panic_releases_the_barrier_and_propagates() {
-            // The strand-on-panic regression: worker 2 dies before its
-            // sync() while the others park at the barrier. Without
-            // poisoning, the survivors wait forever and the scope join
-            // never returns; with it, the pool unwinds with the dead
-            // worker's original payload.
-            let caught = std::panic::catch_unwind(|| {
-                scoped(4, |w, rounds| {
-                    if w == 2 {
-                        panic!("worker 2 injected failure");
-                    }
-                    rounds.sync();
-                });
-            });
-            let payload = caught.expect_err("panic must propagate");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .expect("original payload type preserved");
-            assert_eq!(msg, "worker 2 injected failure");
-        }
-
-        #[test]
-        fn caller_worker_panic_releases_spawned_workers() {
-            // Same strand, other direction: worker 0 (the caller) dies
-            // while spawned workers park at the barrier.
-            let caught = std::panic::catch_unwind(|| {
-                scoped(3, |w, rounds| {
-                    if w == 0 {
-                        panic!("caller died");
-                    }
-                    rounds.sync();
-                });
-            });
-            let payload = caught.expect_err("panic must propagate");
-            assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller died"));
-        }
-
-        #[test]
-        fn panic_after_rounds_still_propagates() {
-            // A worker that dies *between* barriers (others already past
-            // the round) must still poison and propagate.
-            let caught = std::panic::catch_unwind(|| {
-                scoped(4, |w, rounds| {
-                    rounds.sync(); // round 1 completes on all workers
-                    if w == 1 {
-                        panic!("late failure");
-                    }
-                    rounds.sync(); // round 2 can never complete
-                });
-            });
-            let payload = caught.expect_err("panic must propagate");
-            assert_eq!(payload.downcast_ref::<&str>(), Some(&"late failure"));
-        }
-    }
-}
 
 pub mod channel {
     //! MPMC-style channels; see the crate docs for the supported subset.

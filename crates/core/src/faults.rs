@@ -1,15 +1,17 @@
 //! Deterministic fault injection for the streaming allocator.
 //!
 //! A [`FaultPlan`] is a list of [`FaultEvent`]s at virtual times (stream
-//! ticks): at tick `at`, a fraction `frac` of the *eligible* bins
-//! crashes, drains, slows down, or recovers. Which bins are hit is
-//! seed-derived, never wall-clock-derived: every driver draws the
-//! affected set from a deterministic stream, so the same seed and the
-//! same plan replay the same fault schedule bit-for-bit — across
-//! processes and (for the sharded driver in `bib-parallel`) across
-//! thread counts.
+//! ticks): at tick `at`, each *eligible* bin independently crashes,
+//! drains, slows down, or recovers with probability `frac`. The serve
+//! driver (`crate::stream`) never names individual bins: it keeps one
+//! occupancy histogram per health state and applies an event as a
+//! class-level binomial split — every occupancy class of an eligible
+//! state sends `Binomial(count, frac)` of its bins to the new state.
+//! The splits draw from a per-event stream derived from the plan seed
+//! ([`FaultPlan::event_rng`]), never from the wall clock, so the same
+//! seed and the same plan replay the same fault schedule bit-for-bit.
 //!
-//! The bin state machine ([`BinState`]) is deliberately small:
+//! The bin health states are deliberately few:
 //!
 //! * **Alive** — accepts placements at the usual one-sample contact
 //!   cost.
@@ -29,22 +31,21 @@
 //! `drain`, `slow`, `recover` and `frac` either a float in `(0, 1]` or
 //! the word `all`: `crash@60:0.5,recover@90:all`.
 
-use bib_rng::{Rng64, SeedSequence, SplitMix64};
+use bib_rng::{Rng64, SeedSequence};
 
 /// What happens to the affected bins at a fault event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Eligible (non-dead) bins go [`BinState::Dead`]: placements
-    /// bounce, resident balls freeze.
+    /// Eligible (non-dead) bins go dead: placements bounce, resident
+    /// balls freeze.
     Crash,
-    /// Eligible alive/slow bins go [`BinState::Draining`]: placements
-    /// bounce, resident balls keep departing.
+    /// Eligible alive/slow bins go draining: placements bounce,
+    /// resident balls keep departing.
     Drain,
-    /// Eligible alive bins go [`BinState::Slow`]: contacts cost an
-    /// extra sample.
+    /// Eligible alive bins go slow: contacts cost an extra sample.
     Slow,
-    /// Eligible non-alive bins return to [`BinState::Alive`] with
-    /// their current load.
+    /// Eligible non-alive bins return to alive with their current
+    /// load.
     Recover,
 }
 
@@ -74,71 +75,12 @@ pub struct FaultEvent {
     pub frac: f64,
 }
 
-/// Health of one bin, as consulted by the engines on every contact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum BinState {
-    /// In service at normal cost.
-    #[default]
-    Alive = 0,
-    /// In service; contacts cost one extra sample.
-    Slow = 1,
-    /// Refusing placements; resident balls still depart.
-    Draining = 2,
-    /// Refusing placements; resident balls frozen.
-    Dead = 3,
-}
-
-impl BinState {
-    /// Whether a placement probe landing here can be accepted.
-    pub fn accepts(self) -> bool {
-        matches!(self, BinState::Alive | BinState::Slow)
-    }
-
-    /// Samples one contact costs (slow bins answer late).
-    pub fn contact_cost(self) -> u64 {
-        match self {
-            BinState::Slow => 2,
-            _ => 1,
-        }
-    }
-
-    /// Whether churn departures still happen here.
-    pub fn departs(self) -> bool {
-        !matches!(self, BinState::Dead)
-    }
-
-    /// Stable wire code, for packing into shared atomic cells.
-    pub fn code(self) -> u32 {
-        match self {
-            BinState::Alive => 0,
-            BinState::Slow => 1,
-            BinState::Draining => 2,
-            BinState::Dead => 3,
-        }
-    }
-
-    /// Inverse of [`BinState::code`]; unknown codes read as `Dead`
-    /// (the conservative state: refuses placements, freezes balls).
-    pub fn from_code(code: u32) -> Self {
-        match code {
-            0 => BinState::Alive,
-            1 => BinState::Slow,
-            2 => BinState::Draining,
-            _ => BinState::Dead,
-        }
-    }
-}
-
 /// A deterministic, seed-derived schedule of bin faults.
 ///
 /// The plan itself is pure data (events sorted by time); the *choice*
-/// of affected bins is made by the consuming driver through
-/// [`FaultPlan::bin_hit`] (dense drivers, one deterministic Bernoulli
-/// per (event, bin)) or [`FaultPlan::event_rng`] (collapsed drivers,
-/// one binomial split per occupancy class) — both derive from the same
-/// plan seed, so a driver's fault trajectory is a pure function of
-/// `(seed, plan, n)`.
+/// of affected bins is made by the consuming driver, one binomial split
+/// per occupancy class drawn from [`FaultPlan::event_rng`], so a
+/// driver's fault trajectory is a pure function of `(seed, plan, n)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
@@ -250,64 +192,13 @@ impl FaultPlan {
         lo..hi
     }
 
-    /// Deterministic per-bin decision for dense drivers: whether event
-    /// `event_idx` hits bin `bin` (given the bin is eligible). One
-    /// hash, no shared state — safe to evaluate from any thread in any
-    /// order, which is what makes the sharded driver's fault
-    /// trajectory independent of its thread count.
-    pub fn bin_hit(&self, event_idx: usize, bin: u64) -> bool {
-        let e = &self.events[event_idx];
-        if e.frac >= 1.0 {
-            return true;
-        }
-        // One SplitMix64 step keyed by (plan seed, event, bin): a
-        // uniform u64 compared against frac·2⁶⁴.
-        let mut h = SplitMix64::new(
-            self.seed ^ (event_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ bin,
-        );
-        // frac ≤ 1 so the product stays within u64 range (saturating at
-        // the top for frac == 1, handled above).
-        (h.next_u64() as f64) < e.frac * (u64::MAX as f64)
-    }
-
-    /// Deterministic per-event stream for collapsed (histogram-first)
-    /// drivers: the binomial class splits for event `event_idx` draw
-    /// from this RNG.
+    /// Deterministic per-event stream: the binomial class splits for
+    /// event `event_idx` draw from this RNG.
     pub fn event_rng(&self, event_idx: usize) -> impl Rng64 {
         SeedSequence::new(self.seed)
             .child_str("fault-event")
             .child(event_idx as u64)
             .rng()
-    }
-
-    /// Applies every event due at tick `at` to a dense state vector.
-    /// Returns `true` if anything changed. Deterministic in
-    /// `(seed, plan, n)`; single-threaded (the sharded driver calls it
-    /// from its leader phase only).
-    pub fn apply_dense(&self, at: u64, states: &mut [BinState]) -> bool {
-        let due = self.due_at(at);
-        let mut changed = false;
-        for idx in due {
-            let kind = self.events[idx].kind;
-            for (b, s) in states.iter_mut().enumerate() {
-                let eligible = match kind {
-                    FaultKind::Crash => *s != BinState::Dead,
-                    FaultKind::Drain => s.accepts(),
-                    FaultKind::Slow => *s == BinState::Alive,
-                    FaultKind::Recover => *s != BinState::Alive,
-                };
-                if eligible && self.bin_hit(idx, b as u64) {
-                    *s = match kind {
-                        FaultKind::Crash => BinState::Dead,
-                        FaultKind::Drain => BinState::Draining,
-                        FaultKind::Slow => BinState::Slow,
-                        FaultKind::Recover => BinState::Alive,
-                    };
-                    changed = true;
-                }
-            }
-        }
-        changed
     }
 }
 
@@ -365,34 +256,5 @@ mod tests {
         assert_eq!(plan.due_at(5), 0..2);
         assert_eq!(plan.due_at(9), 2..3);
         assert_eq!(plan.due_at(7), 2..2);
-    }
-
-    #[test]
-    fn dense_application_is_deterministic_and_seed_sensitive() {
-        let plan = FaultPlan::mass_failure(4, 0.5, 8, 11);
-        let mut a = vec![BinState::Alive; 1000];
-        let mut b = vec![BinState::Alive; 1000];
-        plan.apply_dense(4, &mut a);
-        plan.apply_dense(4, &mut b);
-        assert_eq!(a, b, "same plan, same bins hit");
-        let dead = a.iter().filter(|s| **s == BinState::Dead).count();
-        // Binomial(1000, 0.5): far from both tails.
-        assert!((300..700).contains(&dead), "dead = {dead}");
-        let other = FaultPlan::mass_failure(4, 0.5, 8, 12);
-        let mut c = vec![BinState::Alive; 1000];
-        other.apply_dense(4, &mut c);
-        assert_ne!(a, c, "different seed, different bins");
-        // Recovery restores everyone.
-        plan.apply_dense(8, &mut a);
-        assert!(a.iter().all(|s| *s == BinState::Alive));
-    }
-
-    #[test]
-    fn state_machine_contracts() {
-        assert!(BinState::Alive.accepts() && BinState::Slow.accepts());
-        assert!(!BinState::Dead.accepts() && !BinState::Draining.accepts());
-        assert_eq!(BinState::Slow.contact_cost(), 2);
-        assert_eq!(BinState::Dead.contact_cost(), 1);
-        assert!(BinState::Draining.departs() && !BinState::Dead.departs());
     }
 }

@@ -550,6 +550,68 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     (draw as u64).min(n)
 }
 
+/// Splits `bins` exchangeable bins over independent per-bin
+/// `Binomial(trials, p)` counts: calls `f(k, count)` once for every
+/// count `k` that receives bins, in ascending `k`, with the counts
+/// summing to `bins`. A conditional binomial chain over the pmf (exact
+/// multinomial over the marginal): the bins at `k` are
+/// `split_binomial(rest, P[K = k] / P[K ≥ k])`.
+///
+/// The pmf is seeded as `trials · ln(1 − p)` and carried in log space
+/// until it surfaces above `1e-290` — the same seeding as the hazard
+/// walks — so heavy `trials` do not underflow `P[K = 0]` to zero and
+/// dump the whole class into `k = trials`. While the pmf is still
+/// submerged no bin can land (the true mass there is below `1e-290`
+/// per bin), so those levels cost no draw.
+pub fn split_binomial_counts<R, F>(bins: u64, trials: u32, p: f64, rng: &mut R, mut f: F)
+where
+    R: Rng64 + ?Sized,
+    F: FnMut(u32, u64),
+{
+    if bins == 0 {
+        return;
+    }
+    if trials == 0 || p <= 0.0 {
+        f(0, bins);
+        return;
+    }
+    if p >= 1.0 {
+        f(trials, bins);
+        return;
+    }
+    let odds = p / (1.0 - p);
+    let mut ln_pmf = trials as f64 * (-p).ln_1p();
+    let mut pmf = ln_pmf.exp();
+    let mut log_mode = pmf < 1e-290;
+    let mut tail = 1.0f64; // P[K ≥ k]
+    let mut rem = bins;
+    for k in 0..=trials {
+        if rem == 0 {
+            break;
+        }
+        let x = if k == trials || tail <= pmf {
+            rem
+        } else if log_mode {
+            0
+        } else {
+            split_binomial(rem, (pmf / tail).clamp(0.0, 1.0), rng)
+        };
+        if x > 0 {
+            f(k, x);
+            rem -= x;
+        }
+        tail = (tail - pmf).max(0.0);
+        let ratio = (trials - k) as f64 / (k + 1) as f64 * odds;
+        if log_mode {
+            ln_pmf += ratio.ln();
+            pmf = ln_pmf.exp();
+            log_mode = pmf < 1e-290;
+        } else {
+            pmf *= ratio;
+        }
+    }
+}
+
 /// Total uniform-stream samples consumed to obtain `hits` hits on an
 /// accepting set of probability `p`: the level-batched engine's
 /// negative-binomial construction at this engine's exact-sum ceiling.

@@ -320,10 +320,8 @@ where
     R: Rng64 + ?Sized,
     O: Observer + ?Sized,
 {
-    // `Concurrent` has no sequential-family path: resolve it like
-    // `Auto` (documented on the `Engine` enum).
     let engine = match cfg.engine {
-        Engine::Auto | Engine::Concurrent => Engine::auto_scheduled(cfg.n, cfg.m),
+        Engine::Auto => Engine::auto_scheduled(cfg.n, cfg.m),
         engine => engine,
     };
     match engine {

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::batched::BatchedAdaptive;
     pub use crate::bins::LoadVector;
     pub use crate::error::ProtocolError;
-    pub use crate::faults::{BinState, FaultEvent, FaultKind, FaultPlan};
+    pub use crate::faults::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::histogram::{HistogramSchedule, OccupancyHistogram};
     pub use crate::level_batched::ThresholdSchedule;
     pub use crate::loads::Loads;

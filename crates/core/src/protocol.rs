@@ -44,22 +44,18 @@ use bib_rng::Rng64;
 /// drawn with the same occupancy machinery; `left[d]`, `memory` and
 /// `(1+β)` still ignore the engine entirely.
 ///
-/// `Concurrent` is the multi-thread single-run engine of the parallel
-/// round family (`bib-parallel::protocols::concurrent`): bins live in
-/// an atomic load array, worker threads process disjoint ball chunks
-/// within each synchronous round, and acceptance resolves through
-/// atomic read-modify-write operations. It honours
-/// [`RunConfig::threads`] and the [`RunConfig::racy`] determinism
-/// contract; outside the parallel family it resolves exactly like
-/// `Auto` (the sequential families have no concurrent path).
-///
 /// `Auto` is not an engine of its own: each protocol resolves it to the
 /// measured-fastest concrete engine for its `(protocol, n, m)` cell
 /// before running (see [`Engine::auto_scheduled`] /
 /// [`Engine::auto_fixed`], calibrated against `BENCH_engines.json`).
-/// For the parallel family, `Auto` with `threads > 1` resolves to
-/// `Concurrent` — a request for threads is a request for the engine
-/// that can use them.
+///
+/// Every engine runs the allocation process of one run on one thread:
+/// the paper's protocols are sequential processes (each ball sees the
+/// loads the previous ball left), and threads only ever spread
+/// independent replicates (`bib-parallel::replicate`). The names
+/// `concurrent` and `conc` still parse, as aliases of `auto`, for
+/// command lines written against the removed multi-thread single-run
+/// engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Faithful sample-by-sample retry loop.
@@ -75,24 +71,15 @@ pub enum Engine {
     /// `counts[load]`; round cost is `O(#distinct loads)`, independent
     /// of `n`. Final loads reconstructed by seeded random assignment.
     Histogram,
-    /// Sharded concurrent single-run engine for the parallel round
-    /// family: atomic bin shards, per-round worker barriers, CAS-style
-    /// acceptance. Sequential families resolve it like `Auto`.
-    Concurrent,
     /// Resolve to the measured-fastest concrete engine per
     /// `(protocol, n, m)` at run time.
     Auto,
 }
 
 impl Engine {
-    /// All *serial* concrete engines, in documentation order. `Auto` is
-    /// a selector, not an engine, and is deliberately absent: iterating
+    /// All concrete engines, in documentation order. `Auto` is a
+    /// selector, not an engine, and is deliberately absent: iterating
     /// `ALL` visits each distinct simulation path exactly once.
-    /// `Concurrent` is also absent — it is a deployment mode of the
-    /// parallel family (its deterministic mode is distributionally
-    /// identical to `Faithful` there, and it aliases `Auto` elsewhere),
-    /// so iterating it alongside the serial engines would visit no new
-    /// path on a single thread.
     pub const ALL: [Engine; 4] = [
         Engine::Faithful,
         Engine::Jump,
@@ -107,7 +94,6 @@ impl Engine {
             Engine::Jump => "jump",
             Engine::LevelBatched => "level-batched",
             Engine::Histogram => "histogram",
-            Engine::Concurrent => "concurrent",
             Engine::Auto => "auto",
         }
     }
@@ -193,11 +179,10 @@ impl std::str::FromStr for Engine {
             "jump" => Ok(Engine::Jump),
             "level-batched" | "batched" | "level_batched" => Ok(Engine::LevelBatched),
             "histogram" | "hist" => Ok(Engine::Histogram),
-            "concurrent" | "conc" => Ok(Engine::Concurrent),
-            "auto" => Ok(Engine::Auto),
+            "auto" | "concurrent" | "conc" => Ok(Engine::Auto),
             other => Err(format!(
-                "unknown engine {other:?}; expected faithful, jump, level-batched, histogram, \
-                 concurrent or auto"
+                "unknown engine {other:?}; expected faithful, jump, level-batched, histogram \
+                 or auto"
             )),
         }
     }
@@ -215,56 +200,25 @@ pub struct RunConfig {
     /// family and the parallel round family each dispatch between their
     /// faithful path and their histogram fast path (each family
     /// documents how the remaining engine names alias onto those two);
-    /// the parallel round family additionally has the multi-thread
-    /// [`Engine::Concurrent`] path; `left[d]`, `memory` and `(1+β)`
-    /// ignore the engine.
+    /// `left[d]`, `memory` and `(1+β)` ignore the engine. The
+    /// allocation process is single-threaded, whatever the engine.
     pub engine: Engine,
-    /// Worker threads *within one run* (≥ 1). Only the parallel round
-    /// family's [`Engine::Concurrent`] path uses it; every serial
-    /// engine ignores it. `Engine::Auto` on a parallel protocol
-    /// resolves to `Concurrent` when `threads > 1`.
-    pub threads: usize,
-    /// Determinism contract of the concurrent engine. `false` (the
-    /// default) derives per-chunk child RNG streams so the run is
-    /// bit-reproducible and independent of `threads`; `true` lets CAS
-    /// contention order placements nondeterministically (per-worker
-    /// streams, first-arrival acceptance) — distributionally equivalent
-    /// to the faithful driver, validated by the chi-square suite.
-    /// Ignored by every serial engine.
-    pub racy: bool,
 }
 
 impl RunConfig {
-    /// Creates a configuration with the default (faithful) engine,
-    /// one thread, and the deterministic concurrency contract.
+    /// Creates a configuration with the default (faithful) engine.
     pub fn new(n: usize, m: u64) -> Self {
         assert!(n > 0, "RunConfig: need at least one bin");
         Self {
             n,
             m,
             engine: Engine::Faithful,
-            threads: 1,
-            racy: false,
         }
     }
 
     /// Switches to the geometric-jump engine.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the worker-thread count for a single run (concurrent
-    /// engine only; clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Opts in to the racy (nondeterministic placement order)
-    /// concurrency contract; see [`RunConfig::racy`].
-    pub fn with_racy(mut self, racy: bool) -> Self {
-        self.racy = racy;
         self
     }
 
@@ -793,6 +747,17 @@ where
 mod tests {
     use super::*;
     use bib_rng::{RngExt, SplitMix64};
+
+    #[test]
+    fn engine_names_round_trip_and_aliases_parse() {
+        for engine in Engine::ALL.into_iter().chain([Engine::Auto]) {
+            assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
+        }
+        // The removed multi-thread engine's names resolve like `auto`.
+        assert_eq!("concurrent".parse::<Engine>(), Ok(Engine::Auto));
+        assert_eq!("conc".parse::<Engine>(), Ok(Engine::Auto));
+        assert!("warp".parse::<Engine>().is_err());
+    }
 
     /// A trivial protocol for exercising the harness: one uniform choice
     /// per ball.

@@ -77,10 +77,8 @@ impl Protocol for GreedyD {
         R: Rng64 + ?Sized,
         O: Observer + ?Sized,
     {
-        // `Concurrent` has no fixed-sample path: resolve it like
-        // `Auto` (documented on the `Engine` enum).
         let engine = match cfg.engine {
-            Engine::Auto | Engine::Concurrent => Engine::auto_fixed(cfg.n, cfg.m),
+            Engine::Auto => Engine::auto_fixed(cfg.n, cfg.m),
             engine => engine,
         };
         if engine == Engine::Histogram {

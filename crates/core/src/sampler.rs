@@ -41,11 +41,9 @@ pub fn place_below<R: Rng64 + ?Sized>(
 ) -> (usize, u64) {
     match engine {
         Engine::Faithful => place_below_naive(bins, t, rng),
-        Engine::Jump
-        | Engine::LevelBatched
-        | Engine::Histogram
-        | Engine::Concurrent
-        | Engine::Auto => place_below_jump(bins, t, rng),
+        Engine::Jump | Engine::LevelBatched | Engine::Histogram | Engine::Auto => {
+            place_below_jump(bins, t, rng)
+        }
     }
 }
 

@@ -51,13 +51,14 @@
 //! driver has no bin identities and a steady-state run has no single
 //! "stage"); its observability surface is [`StreamReport`] — the
 //! per-tick [`TickStats`] series and the [`LatencyTail`] histogram —
-//! plus the stream counters on the final `Outcome`. The concurrent
-//! (dense, sharded) counterpart lives in `bib-parallel::stream`; this
-//! driver ignores `RunConfig::engine` by the documented aliasing rule
-//! that the collapsed serial path *is* the stream engine of this crate.
+//! plus the stream counters on the final `Outcome`. The driver runs on
+//! one thread and ignores `RunConfig::engine` by the documented
+//! aliasing rule that the collapsed serial path *is* the stream engine.
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::histogram::{rounded_normal_count, split_binomial, OccupancyHistogram};
+use crate::histogram::{
+    rounded_normal_count, split_binomial, split_binomial_counts, OccupancyHistogram,
+};
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Family, Scenario};
@@ -359,9 +360,7 @@ pub fn serve(spec: &StreamSpec, family: Family, cfg: &RunConfig, seed: u64) -> S
 /// Fresh arrivals at `tick` of a stream expecting `m` balls over
 /// `ticks` ticks: `Poisson(m/ticks)` (exact Knuth sampler at small
 /// rates, the moment-matched rounded-normal count above λ = 256,
-/// clamped to ±6σ) or the deterministic even split. Shared by the
-/// serial collapsed driver and the concurrent dense driver so the two
-/// model the same arrival process.
+/// clamped to ±6σ) or the deterministic even split.
 pub fn arrival_count<R: Rng64 + ?Sized>(
     m: u64,
     ticks: u64,
@@ -463,8 +462,8 @@ fn apply_faults(classes: &mut Classes, plan: &FaultPlan, tick: u64) {
 /// One tick of churn on `hist`: every resident ball departs
 /// independently with probability `p` — the downward split. A class of
 /// `c` bins at load `ℓ` splits multinomially over the per-bin
-/// `Binomial(ℓ, p)` departure counts via a conditional binomial chain
-/// (exact). Returns the number of departed balls.
+/// `Binomial(ℓ, p)` departure counts ([`split_binomial_counts`], exact
+/// at any load). Returns the number of departed balls.
 pub fn departure_split<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     p: f64,
@@ -474,17 +473,6 @@ pub fn departure_split<R: Rng64 + ?Sized>(
         return 0;
     }
     let levels: Vec<(u32, u64)> = hist.levels().collect();
-    if p >= 1.0 {
-        let mut departed = 0u64;
-        for (l, c) in levels {
-            if l > 0 {
-                hist.demote(l, c, l);
-                departed += l as u64 * c;
-            }
-        }
-        return departed;
-    }
-    let q = 1.0 - p;
     let mut departed = 0u64;
     // Ascending class order: demoted bins land in classes already
     // processed, so no bin departs twice in one tick.
@@ -492,35 +480,12 @@ pub fn departure_split<R: Rng64 + ?Sized>(
         if l == 0 {
             continue;
         }
-        let exp = i32::try_from(l).expect("load level fits i32");
-        let mut pmf = q.powi(exp); // P[K = 0]
-        let mut rem_bins = c;
-        let mut rem_prob = 1.0f64;
-        // K = 0 keeps its bins in place.
-        let stay = if rem_prob > pmf {
-            split_binomial(rem_bins, (pmf / rem_prob).clamp(0.0, 1.0), rng)
-        } else {
-            rem_bins
-        };
-        rem_bins -= stay;
-        rem_prob -= pmf;
-        for k in 1..=l {
-            if rem_bins == 0 {
-                break;
-            }
-            pmf *= (l - k + 1) as f64 / k as f64 * (p / q);
-            let x = if k == l || rem_prob <= pmf {
-                rem_bins
-            } else {
-                split_binomial(rem_bins, (pmf / rem_prob).clamp(0.0, 1.0), rng)
-            };
-            if x > 0 {
+        split_binomial_counts(c, l, p, rng, |k, x| {
+            if k > 0 {
                 hist.demote(l, x, k);
-                departed += x * k as u64;
+                departed += x * u64::from(k);
             }
-            rem_bins -= x;
-            rem_prob -= pmf;
-        }
+        });
     }
     departed
 }
@@ -844,6 +809,33 @@ mod tests {
     }
 
     #[test]
+    fn departure_split_survives_heavy_loads() {
+        // (1 − p)^ℓ underflows to 0 at both cells (ℓ·ln(1/(1−p)) ≈ 762
+        // and 1026, past the ≈745 floor of f64); the departures must
+        // still be Binomial(100·ℓ, p), not every ball.
+        for (load, p, seed) in [(1_100u32, 0.5, 3u64), (20_000, 0.05, 4)] {
+            let mut rng = SeedSequence::new(seed).rng();
+            let mut h = OccupancyHistogram::from_loads(&vec![load; 100]);
+            let balls = h.total_balls() as f64;
+            let gone = departure_split(&mut h, p, &mut rng);
+            assert_eq!(h.total_balls() as f64, balls - gone as f64);
+            h.check_invariants();
+            let mean = balls * p;
+            let sd = (balls * p * (1.0 - p)).sqrt();
+            assert!(
+                (gone as f64 - mean).abs() < 6.0 * sd,
+                "load {load}, p {p}: {gone} departed, expected ≈ {mean}"
+            );
+            // Per-bin counts spread like Binomial(ℓ, p) too: every bin
+            // keeps within 8σ₁ of ℓ·(1 − p).
+            let sd1 = (load as f64 * p * (1.0 - p)).sqrt();
+            let keep = load as f64 * (1.0 - p);
+            assert!((h.max_load() as f64) < keep + 8.0 * sd1);
+            assert!((h.min_load() as f64) > keep - 8.0 * sd1);
+        }
+    }
+
+    #[test]
     fn zero_churn_stream_places_every_ball() {
         let spec = StreamSpec::new(64, 0.0).deterministic();
         let p = StreamProtocol::new(spec, Family::Adaptive);
@@ -855,6 +847,16 @@ mod tests {
         assert_eq!(out.scenario.label(), "stream");
         // The adaptive guarantee carries over at zero churn.
         assert!(out.max_load() <= 11, "max = {}", out.max_load());
+    }
+
+    #[test]
+    fn fault_free_stream_conserves_and_balances() {
+        let spec = StreamSpec::new(40, 0.0).deterministic();
+        let report = serve(&spec, Family::OneChoice, &RunConfig::new(128, 40 * 32), 8);
+        assert_eq!(report.outcome.m, 40 * 32);
+        assert_eq!(report.outcome.scenario.shed, 0);
+        assert_eq!(report.outcome.scenario.label(), "stream");
+        assert!(report.ops() >= 40 * 32);
     }
 
     #[test]

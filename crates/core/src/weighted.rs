@@ -425,10 +425,8 @@ where
     );
     // Build the classes once: `Auto` needs the class count to resolve,
     // and the histogram engine then reuses the same grouping.
-    // `Concurrent` has no weighted-family path: resolve it like `Auto`
-    // (documented on the `Engine` enum).
     let (engine, classes) = match cfg.engine {
-        Engine::Auto | Engine::Concurrent => {
+        Engine::Auto => {
             let classes = WeightClasses::build(weights);
             let engine = Engine::auto_weighted(cfg.n, cfg.m, classes.len());
             (engine, Some(classes))

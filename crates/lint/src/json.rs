@@ -206,13 +206,15 @@ impl Parser {
     }
 }
 
+/// The `BENCH_engines.json` schema this checker accepts.
+pub const BENCH_SCHEMA: &str = "bib-bench/engines/v7";
+
 /// Field spec for one bench result row.
 const ROW_STRINGS: &[&str] = &["protocol", "scenario", "engine"];
 const ROW_NUMBERS: &[&str] = &[
     "n",
     "m",
     "reps",
-    "threads",
     "wall_ms_mean",
     "wall_ms_best",
     "samples_per_ball",
@@ -227,7 +229,6 @@ const ENGINES: &[&str] = &[
     "jump",
     "level-batched",
     "histogram",
-    "concurrent",
     "auto",
     "stream",
 ];
@@ -247,10 +248,8 @@ pub fn check_bench(text: &str) -> Vec<String> {
         )];
     };
     match top.get("schema") {
-        Some(Value::Str(s)) if s == "bib-bench/engines/v6" => {}
-        Some(Value::Str(s)) => {
-            errs.push(format!("schema is `{s}`, expected `bib-bench/engines/v6`"))
-        }
+        Some(Value::Str(s)) if s == BENCH_SCHEMA => {}
+        Some(Value::Str(s)) => errs.push(format!("schema is `{s}`, expected `{BENCH_SCHEMA}`")),
         _ => errs.push("missing string field `schema`".to_string()),
     }
     // Full (non-smoke) documents must carry a giant-n histogram-only
@@ -283,15 +282,8 @@ pub fn check_bench(text: &str) -> Vec<String> {
     let mut has_parallel_histogram = false;
     let mut has_giant_lazy_row = false;
     // Every document must carry at least one stream-mode row (the
-    // serve-mode fault/churn driver); full documents additionally need
-    // one on the sharded engine at threads > 1.
+    // serve-mode fault/churn driver).
     let mut has_stream_row = false;
-    let mut has_multithread_stream_row = false;
-    // Per-protocol multi-thread coverage for the parallel scenario: a
-    // full document must show each round protocol on the concurrent
-    // engine at more than one thread.
-    let mut parallel_protocols = std::collections::BTreeSet::new();
-    let mut multithreaded_protocols = std::collections::BTreeSet::new();
     for (i, row) in rows.iter().enumerate() {
         let Value::Obj(row) = row else {
             errs.push(format!(
@@ -343,17 +335,6 @@ pub fn check_bench(text: &str) -> Vec<String> {
             }
             if scenario == "stream" {
                 has_stream_row = true;
-                if matches!(row.get("threads"), Some(Value::Num(t)) if *t > 1.0) {
-                    has_multithread_stream_row = true;
-                }
-            }
-            if scenario == "parallel" {
-                if let Some(Value::Str(protocol)) = row.get("protocol") {
-                    parallel_protocols.insert(protocol.clone());
-                    if matches!(row.get("threads"), Some(Value::Num(t)) if *t > 1.0) {
-                        multithreaded_protocols.insert(protocol.clone());
-                    }
-                }
             }
         }
         if let (Some(Value::Num(mean)), Some(Value::Num(best))) =
@@ -381,27 +362,12 @@ pub fn check_bench(text: &str) -> Vec<String> {
     if !has_stream_row {
         errs.push("no stream-scenario row (serve-mode rows missing)".to_string());
     }
-    if !smoke && !has_multithread_stream_row {
-        errs.push(
-            "full run has no threads > 1 stream-scenario row \
-             (sharded serve-mode rows missing)"
-                .to_string(),
-        );
-    }
     if !smoke && !has_giant_lazy_row {
         errs.push(
             "full run has no n >= 10^9 row with loads_materialized = false \
              (giant-n lazy-outcome rows missing)"
                 .to_string(),
         );
-    }
-    if !smoke {
-        for protocol in parallel_protocols.difference(&multithreaded_protocols) {
-            errs.push(format!(
-                "full run has no threads > 1 row for parallel protocol \
-                 `{protocol}` (concurrent-engine rows missing)"
-            ));
-        }
     }
     errs
 }
@@ -479,21 +445,21 @@ mod tests {
 
     fn valid_doc() -> String {
         r#"{
-  "schema": "bib-bench/engines/v6",
+  "schema": "bib-bench/engines/v7",
   "seed": 2013,
   "smoke": true,
   "host": {"threads": 1, "rustc": "rustc"},
   "results": [
     {"protocol": "collision(c=1)", "scenario": "parallel", "engine": "histogram",
-     "n": 4096, "m": 4096, "reps": 3, "threads": 1, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
+     "n": 4096, "m": 4096, "reps": 3, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
      "samples_per_ball": 3.0, "mballs_per_sec": 10.0, "shed_rate": 0.0, "alive_frac": 1.0,
      "loads_materialized": false},
-    {"protocol": "collision(c=1)", "scenario": "parallel", "engine": "concurrent",
-     "n": 8192, "m": 8192, "reps": 3, "threads": 8, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
+    {"protocol": "collision(c=1)", "scenario": "parallel", "engine": "faithful",
+     "n": 8192, "m": 8192, "reps": 3, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
      "samples_per_ball": 3.0, "mballs_per_sec": 10.0, "shed_rate": 0.0, "alive_frac": 1.0,
      "loads_materialized": true},
-    {"protocol": "stream-greedy[2]", "scenario": "stream", "engine": "concurrent",
-     "n": 1024, "m": 65536, "reps": 3, "threads": 4, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
+    {"protocol": "stream-greedy[2]", "scenario": "stream", "engine": "stream",
+     "n": 1024, "m": 65536, "reps": 3, "wall_ms_mean": 2.0, "wall_ms_best": 1.0,
      "samples_per_ball": 2.1, "mballs_per_sec": 20.0, "shed_rate": 0.001, "alive_frac": 1.0,
      "loads_materialized": true}
   ]
@@ -527,20 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn full_runs_require_a_multithreaded_row_per_parallel_protocol() {
-        // Smoke docs skip the gate; a full doc whose only threads > 1
-        // row is gone must name the uncovered protocol.
-        let full = valid_doc()
-            .replace("\"smoke\": true", "\"smoke\": false")
-            .replace("\"n\": 4096,", "\"n\": 1000000000,");
-        assert_eq!(check_bench(&full), Vec::<String>::new());
-        let serial_only = full.replace("\"threads\": 8,", "\"threads\": 1,");
-        assert!(check_bench(&serial_only)
-            .iter()
-            .any(|e| e.contains("no threads > 1 row for parallel protocol `collision(c=1)`")));
-    }
-
-    #[test]
     fn stream_rows_are_gated_and_range_checked() {
         // Dropping the stream row trips the always-on gate.
         let no_stream =
@@ -548,14 +500,12 @@ mod tests {
         assert!(check_bench(&no_stream)
             .iter()
             .any(|e| e.contains("serve-mode rows missing")));
-        // A full run also needs a threads > 1 stream row.
-        let serial_stream = valid_doc()
-            .replace("\"smoke\": true", "\"smoke\": false")
-            .replace("\"n\": 4096,", "\"n\": 1000000000,")
-            .replace("\"threads\": 4,", "\"threads\": 1,");
-        assert!(check_bench(&serial_stream)
+        // The removed concurrent engine is not a valid row engine.
+        let concurrent =
+            valid_doc().replace("\"engine\": \"faithful\"", "\"engine\": \"concurrent\"");
+        assert!(check_bench(&concurrent)
             .iter()
-            .any(|e| e.contains("sharded serve-mode rows missing")));
+            .any(|e| e.contains("engine `concurrent` not in")));
         // shed_rate / alive_frac must be rates.
         let bad_rate = valid_doc().replace(
             "\"alive_frac\": 1.0,\n     \"loads",
@@ -568,8 +518,8 @@ mod tests {
 
     #[test]
     fn bench_doc_catches_schema_and_row_defects() {
-        let bad_schema = valid_doc().replace("engines/v6", "engines/v3");
-        assert!(check_bench(&bad_schema)[0].contains("expected `bib-bench/engines/v6`"));
+        let bad_schema = valid_doc().replace("engines/v7", "engines/v6");
+        assert!(check_bench(&bad_schema)[0].contains("expected `bib-bench/engines/v7`"));
 
         let missing_bool = valid_doc().replace(",\n     \"loads_materialized\": false}", "}");
         assert!(check_bench(&missing_bool)

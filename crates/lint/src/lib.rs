@@ -1,13 +1,12 @@
 //! `balls-lint` — the dependency-free workspace auditor.
 //!
 //! Every engine in this workspace rests on one fragile invariant: a
-//! fixed seed reproduces the same `Outcome` bit-for-bit across engines,
-//! thread counts, and hosts. Nothing in the compiler checks that the
-//! code stays inside that determinism envelope — no wall-clock reads,
-//! no entropy-seeded RNGs, no hash-order iteration in result-producing
-//! paths — and the upcoming sharded-CAS concurrent engine will be the
-//! first PR to relax `#![forbid(unsafe_code)]`. This crate makes those
-//! house rules machine-enforced: a minimal Rust lexer, a rule engine
+//! fixed seed reproduces the same `Outcome` bit-for-bit across
+//! replicate thread counts and hosts. Nothing in the compiler checks
+//! that the code stays inside that determinism envelope — no wall-clock
+//! reads, no entropy-seeded RNGs, no hash-order iteration in
+//! result-producing paths, no `unsafe` or atomics without a written
+//! justification. This crate makes those house rules machine-enforced: a minimal Rust lexer, a rule engine
 //! over the workspace source tree, a suppression pragma that demands a
 //! justification, and a ratcheting `lint.toml` allowlist for
 //! grandfathered debt.

@@ -173,8 +173,9 @@ fn check_bench(path: &std::path::Path) -> ExitCode {
     let errs = json::check_bench(&text);
     if errs.is_empty() {
         println!(
-            "balls-lint: {} conforms to bib-bench/engines/v6",
-            path.display()
+            "balls-lint: {} conforms to {}",
+            path.display(),
+            json::BENCH_SCHEMA
         );
         ExitCode::SUCCESS
     } else {

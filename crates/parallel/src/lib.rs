@@ -17,7 +17,10 @@
 //!    ordinary `bib_core` [`Protocol`](bib_core::protocol::Protocol)s
 //!    returning the unified outcome record (rounds and messages live in
 //!    `Outcome::scenario`), so [`replicate_outcomes`] replicates them
-//!    exactly like the sequential schemes.
+//!    exactly like the sequential schemes. Every run of one of them is
+//!    a single-threaded process: threads only ever spread independent
+//!    replicates, never the balls of one run, so `--threads` cannot
+//!    change which stochastic process runs.
 //!
 //! The executor is deliberately small (scoped threads + an atomic work
 //! index + a crossbeam channel) rather than a dependency on a full
@@ -30,8 +33,6 @@
 pub mod executor;
 pub mod protocols;
 pub mod replicate;
-pub mod stream;
 
 pub use executor::{available_threads, par_map};
 pub use replicate::{replicate_outcomes, ReplicateSpec};
-pub use stream::serve_concurrent;

@@ -103,16 +103,8 @@ impl BoundedLoad {
         if cfg.m > capacity {
             return Err(ProtocolError::InfeasibleCapacity { m: cfg.m, capacity });
         }
-        match resolve_round_engine(cfg.engine, cfg.n, cfg.m, cfg.threads) {
+        match resolve_round_engine(cfg.engine, cfg.n, cfg.m) {
             Engine::Histogram => self.allocate_round_occupancy(cfg, rng, obs),
-            Engine::Concurrent => super::concurrent::bounded_load(
-                self.cap,
-                self.max_rounds,
-                self.name(),
-                cfg,
-                rng,
-                obs,
-            ),
             _ => self.allocate_faithful(cfg, rng, obs),
         }
     }
@@ -131,11 +123,8 @@ impl Protocol for BoundedLoad {
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
     /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine,
-    /// `Concurrent` the sharded multi-thread engine
-    /// ([`super::concurrent`]), `Auto` the measured cutoff
-    /// [`Engine::auto_parallel`] (promoted to `Concurrent` when
-    /// `cfg.threads > 1`).
+    /// `Histogram`/`LevelBatched` the round-occupancy engine, `Auto` the
+    /// measured cutoff [`Engine::auto_parallel`].
     fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
     where
         R: Rng64 + ?Sized,
@@ -535,12 +524,13 @@ mod tests {
             err.to_string(),
             "infeasible: m = 5 exceeds total capacity 4"
         );
-        // The concurrent engine rejects it too (as a value, no panic).
+        // The round-occupancy engine rejects it too (as a value, no
+        // panic).
         let mut rng = SplitMix64::new(11);
-        let cfg = RunConfig::new(4, 5).with_threads(2);
+        let cfg = RunConfig::new(4, 5).with_engine(Engine::Histogram);
         let err = BoundedLoad::new(1)
             .try_allocate(&cfg, &mut rng, &mut bib_core::protocol::NullObserver)
-            .expect_err("concurrent path must also reject");
+            .expect_err("round-occupancy path must also reject");
         assert!(matches!(err, ProtocolError::InfeasibleCapacity { .. }));
     }
 

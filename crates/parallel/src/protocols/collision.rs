@@ -65,11 +65,8 @@ impl Protocol for Collision {
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
     /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine,
-    /// `Concurrent` the sharded multi-thread engine
-    /// ([`super::concurrent`]), `Auto` the measured cutoff
-    /// [`Engine::auto_parallel`] (promoted to `Concurrent` when
-    /// `cfg.threads > 1`). The round-occupancy path is *exact* as a
+    /// `Histogram`/`LevelBatched` the round-occupancy engine, `Auto` the
+    /// measured cutoff [`Engine::auto_parallel`]. The round-occupancy path is *exact* as a
     /// lumped chain — acceptance depends only on a bin's request
     /// multiplicity, never on its load, so the occupancy histogram is a
     /// sufficient statistic — up to the large-round
@@ -80,17 +77,8 @@ impl Protocol for Collision {
         R: Rng64 + ?Sized,
         O: Observer + ?Sized,
     {
-        match resolve_round_engine(cfg.engine, cfg.n, cfg.m, cfg.threads) {
+        match resolve_round_engine(cfg.engine, cfg.n, cfg.m) {
             Engine::Histogram => self.allocate_round_occupancy(cfg, rng, obs),
-            Engine::Concurrent => super::concurrent::collision(
-                self.c,
-                self.max_rounds,
-                Self::STALL_LIMIT,
-                self.name(),
-                cfg,
-                rng,
-                obs,
-            ),
             _ => self.allocate_faithful(cfg, rng, obs),
         }
     }

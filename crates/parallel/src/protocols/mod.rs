@@ -14,21 +14,16 @@
 //! [`Scenario::rounds`](bib_core::scenario::Scenario) annotations
 //! (`rounds`, `messages`).
 //!
-//! Each protocol has **three execution paths**, selected through the
+//! Each protocol has **two execution paths**, selected through the
 //! engine in `RunConfig` (the family's resolution rule lives in
 //! [`round_occupancy`](self): `Faithful`/`Jump` → per-contact rounds,
-//! `Histogram`/`LevelBatched` → round-occupancy, `Concurrent` →
-//! sharded multi-thread, `Auto` → `Engine::auto_parallel`, promoted to
-//! `Concurrent` when `RunConfig::threads > 1`): the *faithful*
-//! per-contact rounds of the published processes; the *round-occupancy
-//! engine*, which draws each round's request-multiplicity profile in
-//! one shot and resolves acceptance per multiplicity class — `O(max
-//! multiplicity · #occupancy classes)` per round, independent of the
-//! contact count; and the *sharded concurrent engine*
-//! ([`concurrent`](self)), which runs one run across
-//! `RunConfig::threads` workers over atomic bin shards, with a
-//! bit-reproducible deterministic mode and an explicitly nondeterministic
-//! `racy` mode.
+//! `Histogram`/`LevelBatched` → round-occupancy, `Auto` →
+//! `Engine::auto_parallel`): the *faithful* per-contact rounds of the
+//! published processes, and the *round-occupancy engine*, which draws
+//! each round's request-multiplicity profile in one shot and resolves
+//! acceptance per multiplicity class — `O(max multiplicity · #occupancy
+//! classes)` per round, independent of the contact count. Both run on
+//! one thread.
 //!
 //! The mapping onto the sequential record:
 //!
@@ -59,7 +54,6 @@
 
 mod bounded_load;
 mod collision;
-mod concurrent;
 mod parallel_greedy;
 mod round_occupancy;
 

@@ -21,7 +21,9 @@
 //! collision) and unrestricted `greedy[2]`.
 
 use super::round_occupancy::{resolve_round_engine, RoundTrace};
-use bib_core::histogram::{occupancy_profile, split_binomial, OccupancyHistogram};
+use bib_core::histogram::{
+    occupancy_profile, split_binomial, split_binomial_counts, OccupancyHistogram,
+};
 use bib_core::protocol::{Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_core::scenario::Scenario;
 use bib_rng::{Rng64, RngExt};
@@ -85,27 +87,15 @@ impl Protocol for ParallelGreedy {
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
     /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine,
-    /// `Concurrent` the sharded multi-thread engine
-    /// ([`super::concurrent`]), `Auto` the measured cutoff
-    /// [`Engine::auto_parallel`] (promoted to `Concurrent` when
-    /// `cfg.threads > 1`).
+    /// `Histogram`/`LevelBatched` the round-occupancy engine, `Auto` the
+    /// measured cutoff [`Engine::auto_parallel`].
     fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
     where
         R: Rng64 + ?Sized,
         O: Observer + ?Sized,
     {
-        match resolve_round_engine(cfg.engine, cfg.n, cfg.m, cfg.threads) {
+        match resolve_round_engine(cfg.engine, cfg.n, cfg.m) {
             Engine::Histogram => self.allocate_round_occupancy(cfg, rng, obs),
-            Engine::Concurrent => super::concurrent::parallel_greedy(
-                self.d,
-                self.rounds,
-                self.per_round,
-                self.name(),
-                cfg,
-                rng,
-                obs,
-            ),
             _ => self.allocate_faithful(cfg, rng, obs),
         }
     }
@@ -358,38 +348,17 @@ impl ParallelGreedy {
                     continue;
                 }
                 // Distribute the cell's bins over per-bin defector
-                // counts k ~ Binomial(s, p) with a conditional chain.
-                let mut rem_b = b;
-                let mut pmf = (1.0 - p).powi(s as i32);
-                let mut tail = 1.0f64;
-                for k in 0..=s {
-                    if rem_b == 0 {
-                        break;
+                // counts k ~ Binomial(s, p).
+                split_binomial_counts(b, s, p, rng, |k, nk| {
+                    if k > 0 {
+                        *defectors.entry((floor, l)).or_insert(0) += u64::from(k) * nk;
                     }
-                    let nk = if k == s {
-                        rem_b
-                    } else {
-                        let hazard = if tail <= pmf {
-                            1.0
-                        } else {
-                            (pmf / tail).clamp(0.0, 1.0)
-                        };
-                        split_binomial(rem_b, hazard, rng)
-                    };
-                    if nk > 0 {
-                        rem_b -= nk;
-                        if k > 0 {
-                            *defectors.entry((floor, l)).or_insert(0) += k as u64 * nk;
-                        }
-                        if k < s {
-                            *pinned.entry((l, s - k)).or_insert(0) += nk;
-                        }
-                        // k == s: the bin lost every survivor — it is a
-                        // plain unpinned bin again, no cell to keep.
+                    if k < s {
+                        *pinned.entry((l, s - k)).or_insert(0) += nk;
                     }
-                    tail = (tail - pmf).max(0.0);
-                    pmf *= p / (1.0 - p) * (s - k) as f64 / (k + 1) as f64;
-                }
+                    // k == s: the bin lost every survivor — it is a
+                    // plain unpinned bin again, no cell to keep.
+                });
             }
         }
 

@@ -29,18 +29,14 @@
 //!
 //! # Engine resolution
 //!
-//! The parallel family has exactly three concrete paths, so the engine
+//! The parallel family has exactly two concrete paths, so the engine
 //! request in `RunConfig` resolves by a fixed documented rule
 //! ([`resolve_round_engine`]): `Faithful` and `Jump` run the faithful
 //! per-contact rounds (there is no geometric-jump shortcut for a
 //! synchronous round), `Histogram` and `LevelBatched` run the
 //! round-occupancy engine (the round engine *is* the family's batched
-//! path), `Concurrent` runs the sharded multi-thread engine
-//! ([`super::concurrent`]), and `Auto` resolves through
-//! [`Engine::auto_parallel`] — except that an explicit `--threads`
-//! request above one promotes `Auto` to `Concurrent` (a multi-thread
-//! run on a serial engine would be a silent lie). No request is
-//! silently ignored.
+//! path), and `Auto` resolves through [`Engine::auto_parallel`]. No
+//! request is silently ignored.
 //!
 //! [`occupancy_profile`]: bib_core::histogram::occupancy_profile
 //! [`hypergeometric`]: bib_core::histogram::hypergeometric
@@ -60,15 +56,13 @@ use bib_rng::{Rng64, RngExt};
 const EXACT_GROUP: u64 = 8;
 
 /// Resolves the engine request for a round protocol: the family's fixed
-/// three-path rule (see the module docs). Never returns `Auto`, `Jump`
-/// or `LevelBatched`.
-pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64, threads: usize) -> Engine {
+/// two-path rule (see the module docs). Returns `Faithful` or
+/// `Histogram`.
+pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64) -> Engine {
     match engine {
-        Engine::Auto if threads > 1 => Engine::Concurrent,
         Engine::Auto => Engine::auto_parallel(n, m),
         Engine::Faithful | Engine::Jump => Engine::Faithful,
         Engine::Histogram | Engine::LevelBatched => Engine::Histogram,
-        Engine::Concurrent => Engine::Concurrent,
     }
 }
 
@@ -222,44 +216,23 @@ mod tests {
 
     #[test]
     fn resolve_covers_every_request() {
-        // Aliases are fixed and documented; Auto resolves by size, but
-        // an explicit multi-thread request promotes Auto to Concurrent.
+        // Aliases are fixed and documented; Auto resolves by size.
         assert_eq!(
-            resolve_round_engine(Engine::Faithful, 8, 8, 1),
+            resolve_round_engine(Engine::Faithful, 8, 8),
             Engine::Faithful
         );
+        assert_eq!(resolve_round_engine(Engine::Jump, 8, 8), Engine::Faithful);
         assert_eq!(
-            resolve_round_engine(Engine::Jump, 8, 8, 1),
-            Engine::Faithful
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::Histogram, 8, 8, 1),
+            resolve_round_engine(Engine::Histogram, 8, 8),
             Engine::Histogram
         );
         assert_eq!(
-            resolve_round_engine(Engine::LevelBatched, 8, 8, 1),
+            resolve_round_engine(Engine::LevelBatched, 8, 8),
             Engine::Histogram
         );
+        assert_eq!(resolve_round_engine(Engine::Auto, 8, 8), Engine::Faithful);
         assert_eq!(
-            resolve_round_engine(Engine::Auto, 8, 8, 1),
-            Engine::Faithful
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::Auto, 1 << 20, 1 << 20, 1),
-            Engine::Histogram
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::Auto, 8, 8, 4),
-            Engine::Concurrent
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::Concurrent, 8, 8, 1),
-            Engine::Concurrent
-        );
-        // Serial engine requests win over a thread count: the caller
-        // asked for a specific path.
-        assert_eq!(
-            resolve_round_engine(Engine::Histogram, 8, 8, 4),
+            resolve_round_engine(Engine::Auto, 1 << 20, 1 << 20),
             Engine::Histogram
         );
     }

@@ -6,7 +6,7 @@
 //! and mid-run half the fleet crashes and later recovers. Watch for:
 //!
 //! * **sustained throughput** — millions of placements + departures per
-//!   second on the dense sharded engine;
+//!   second on one thread, from the histogram-first serial driver;
 //! * **graceful degradation** — during the outage the dispatcher sheds
 //!   or falls back to one-choice instead of wedging, and every such
 //!   event is counted on the outcome record;
@@ -19,7 +19,6 @@
 //! ```
 
 use balls_into_bins::core::prelude::*;
-use balls_into_bins::parallel::{available_threads, serve_concurrent};
 
 fn main() {
     let servers = 100_000usize;
@@ -38,13 +37,12 @@ fn main() {
             backoff_cap: 8,
             fallback_alive_frac: 0.6,
         });
-    let threads = available_threads().max(2);
-    let cfg = RunConfig::new(servers, arrivals).with_threads(threads);
+    let cfg = RunConfig::new(servers, arrivals);
 
-    println!("{servers} servers, {arrivals} requests over {ticks} ticks, {threads} threads");
+    println!("{servers} servers, {arrivals} requests over {ticks} ticks");
     println!("fault plan: crash 50% of servers at tick {crash_at}, recover at {recover_at}\n");
 
-    let report = serve_concurrent(&spec, Family::Greedy(2), &cfg, seed);
+    let report = serve(&spec, Family::Greedy(2), &cfg, seed);
     let out = &report.outcome;
     let s = &out.scenario;
 

@@ -7,7 +7,7 @@
 //!     [--seed 2013] [--engine jump|faithful|level-batched|histogram|auto] [--reps 1] [--trace]
 //! balls-into-bins serve --n 100000 --arrivals 10000000 --ticks 1000 \
 //!     [--depart 0.05] [--family greedy[2]] [--faults crash@200:0.5,recover@400:all] \
-//!     [--threads 4] [--racy] [--seed 2013] [--series] [--poisson] \
+//!     [--seed 2013] [--series] [--poisson] \
 //!     [--probe-budget 16] [--retry-budget 4] [--backoff-cap 8] [--fallback-frac 0.5]
 //! ```
 //!
@@ -23,10 +23,14 @@
 //! or Poisson with `--poisson`), each resident ball departs with
 //! probability `--depart` per tick, and `--faults` injects seeded
 //! crash/drain/slow/recover events (grammar `kind@tick:frac[,...]`,
-//! `frac` in (0,1] or `all`). `--threads k` with `k > 1` uses the
-//! dense sharded engine, bit-identical across thread counts unless
-//! `--racy`. Prints a summary line; `--series` dumps the per-tick CSV
-//! (tick, in-system, gap, max load, alive ppm, cumulative counters).
+//! `frac` in (0,1] or `all`). The run is single-threaded and a pure
+//! function of its arguments. Prints a summary line; `--series` dumps
+//! the per-tick CSV (tick, in-system, gap, max load, alive ppm,
+//! cumulative counters).
+//!
+//! Out-of-range input (`--n 0`, `--ticks 0`, a zero probe or retry
+//! budget, a fallback fraction outside [0, 1], a budget that does not
+//! fit `u32`) is reported as an `error:` line with exit code 2.
 
 use balls_into_bins::core::prelude::*;
 use balls_into_bins::core::protocol::StageTrace;
@@ -54,7 +58,7 @@ fn usage() -> ! {
          [--seed <u64>] [--engine jump|faithful|level-batched|histogram|auto] [--reps <count>] [--trace]\n  \
          balls-into-bins serve --n <bins> --arrivals <balls> --ticks <ticks>\n      \
          [--depart <p>] [--family one-choice|greedy[d]|adaptive|threshold] [--poisson]\n      \
-         [--faults kind@tick:frac[,...]] [--threads <k>] [--racy] [--seed <u64>] [--series]\n      \
+         [--faults kind@tick:frac[,...]] [--seed <u64>] [--series]\n      \
          [--probe-budget <u>] [--retry-budget <u>] [--backoff-cap <u>] [--fallback-frac <f>]\n\n\
          protocols: {}",
         PROTOCOLS.join(", ")
@@ -65,6 +69,13 @@ fn usage() -> ! {
 fn parse_u64(v: Option<String>, flag: &str) -> u64 {
     v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
         eprintln!("error: {flag} needs an unsigned integer");
+        usage()
+    })
+}
+
+fn parse_u32(v: Option<String>, flag: &str) -> u32 {
+    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        eprintln!("error: {flag} needs an unsigned integer below 2^32");
         usage()
     })
 }
@@ -152,6 +163,10 @@ fn main() {
                 eprintln!("error: run needs --protocol, --n and --m");
                 usage()
             };
+            if n == 0 {
+                eprintln!("error: --n must be at least 1");
+                usage()
+            }
             if let Some(bl) = parse_bounded_load(&pname) {
                 // Typed-error path: infeasible configurations (m >
                 // cap·n) are an error report and exit 1, not a panic.
@@ -237,8 +252,6 @@ fn main() {
             let mut family = Family::Greedy(2);
             let mut faults = None;
             let mut seed = 2013u64;
-            let mut threads = 1usize;
-            let mut racy = false;
             let mut poisson = false;
             let mut series = false;
             let mut retry = RetryPolicy::default();
@@ -249,19 +262,15 @@ fn main() {
                     "--ticks" => ticks = Some(parse_u64(args.next(), "--ticks")),
                     "--depart" => depart = parse_f64(args.next(), "--depart"),
                     "--seed" => seed = parse_u64(args.next(), "--seed"),
-                    "--threads" => threads = parse_u64(args.next(), "--threads") as usize,
-                    "--racy" => racy = true,
                     "--poisson" => poisson = true,
                     "--series" => series = true,
                     "--probe-budget" => {
-                        retry.probe_budget = parse_u64(args.next(), "--probe-budget") as u32
+                        retry.probe_budget = parse_u32(args.next(), "--probe-budget")
                     }
                     "--retry-budget" => {
-                        retry.retry_budget = parse_u64(args.next(), "--retry-budget") as u32
+                        retry.retry_budget = parse_u32(args.next(), "--retry-budget")
                     }
-                    "--backoff-cap" => {
-                        retry.backoff_cap = parse_u64(args.next(), "--backoff-cap") as u32
-                    }
+                    "--backoff-cap" => retry.backoff_cap = parse_u32(args.next(), "--backoff-cap"),
                     "--fallback-frac" => {
                         retry.fallback_alive_frac = parse_f64(args.next(), "--fallback-frac")
                     }
@@ -289,6 +298,26 @@ fn main() {
                 eprintln!("error: --depart must be in [0, 1)");
                 usage()
             }
+            if n == 0 {
+                eprintln!("error: --n must be at least 1");
+                usage()
+            }
+            if ticks == 0 {
+                eprintln!("error: --ticks must be at least 1");
+                usage()
+            }
+            if retry.probe_budget == 0 {
+                eprintln!("error: --probe-budget must be at least 1");
+                usage()
+            }
+            if retry.retry_budget == 0 {
+                eprintln!("error: --retry-budget must be at least 1");
+                usage()
+            }
+            if !(0.0..=1.0).contains(&retry.fallback_alive_frac) {
+                eprintln!("error: --fallback-frac must be in [0, 1]");
+                usage()
+            }
             let plan = match faults {
                 Some(spec) => match FaultPlan::parse(&spec, seed) {
                     Ok(p) => p,
@@ -303,14 +332,7 @@ fn main() {
                 .with_faults(plan)
                 .with_retry(retry);
             spec.poisson = poisson;
-            let cfg = RunConfig::new(n, arrivals)
-                .with_threads(threads)
-                .with_racy(racy);
-            let report = if threads > 1 {
-                balls_into_bins::parallel::serve_concurrent(&spec, family, &cfg, seed)
-            } else {
-                serve(&spec, family, &cfg, seed)
-            };
+            let report = serve(&spec, family, &RunConfig::new(n, arrivals), seed);
             let out = &report.outcome;
             let s = &out.scenario;
             if series {

@@ -1,0 +1,92 @@
+//! Bad `run`/`serve` input is an `error:` line and exit code 2 from the
+//! binary, never a panic (exit 101).
+
+use std::process::Command;
+
+fn exit_and_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_balls-into-bins"))
+        .args(args)
+        .output()
+        .expect("spawn the CLI");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn out_of_range_input_is_an_error_not_a_panic() {
+    let serve = ["serve", "--n", "10", "--arrivals", "100", "--ticks", "5"];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec!["run", "--protocol", "adaptive", "--n", "0", "--m", "10"],
+            "--n",
+        ),
+        (
+            vec!["run", "--protocol", "bounded-load", "--n", "0", "--m", "10"],
+            "--n",
+        ),
+        (
+            vec!["serve", "--n", "0", "--arrivals", "100", "--ticks", "5"],
+            "--n",
+        ),
+        (
+            vec!["serve", "--n", "10", "--arrivals", "100", "--ticks", "0"],
+            "--ticks",
+        ),
+        (
+            [&serve[..], &["--probe-budget", "0"]].concat(),
+            "--probe-budget",
+        ),
+        (
+            [&serve[..], &["--probe-budget", "4294967296"]].concat(),
+            "--probe-budget",
+        ),
+        (
+            [&serve[..], &["--retry-budget", "0"]].concat(),
+            "--retry-budget",
+        ),
+        (
+            [&serve[..], &["--backoff-cap", "4294967296"]].concat(),
+            "--backoff-cap",
+        ),
+        (
+            [&serve[..], &["--fallback-frac", "7"]].concat(),
+            "--fallback-frac",
+        ),
+        (
+            [&serve[..], &["--fallback-frac", "nan"]].concat(),
+            "--fallback-frac",
+        ),
+        ([&serve[..], &["--depart", "nan"]].concat(), "--depart"),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(2), "{args:?} exited {code:?}:\n{stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error:") && first.contains(flag),
+            "{args:?}: first stderr line {first:?} should name {flag}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    }
+}
+
+#[test]
+fn in_range_input_still_runs() {
+    let (code, stderr) = exit_and_stderr(&[
+        "serve",
+        "--n",
+        "10",
+        "--arrivals",
+        "100",
+        "--ticks",
+        "5",
+        "--probe-budget",
+        "1",
+        "--fallback-frac",
+        "1",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("resident="), "{stderr}");
+}
