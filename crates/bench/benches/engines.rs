@@ -1,6 +1,6 @@
 //! Criterion: **E11 engine ablation** — the faithful retry loop, the
-//! geometric-jump engine, the level-batched engine and the
-//! occupancy-histogram engine, across load levels.
+//! level-batched engine and the occupancy-histogram engine, across load
+//! levels.
 //!
 //! The engines agree in distribution on final load vectors (see
 //! `bib-core::sampler`, `bib-core::level_batched` and
@@ -8,7 +8,7 @@
 //! separation that justifies each fast path. The `engines/heavy` group
 //! is the acceptance benchmark for the batched engines at
 //! `n = 10⁴, m = n²` (Lemma 4.2's regime): `threshold` under
-//! level-batching must beat the jump engine by ≥ 5×, and the histogram
+//! level-batching must beat the faithful loop by ≥ 5×, and the histogram
 //! engine gates the heavy `adaptive` speedup (≥ 20× over the faithful
 //! loop's ~1.9 s on the reference machine) plus the first-ever feasible
 //! `greedy[2]` run at this size. The `engines/parallel-heavy` group
@@ -19,13 +19,6 @@ use bib_core::prelude::*;
 use bib_rng::SeedSequence;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-
-const ENGINES: [(&str, Engine); 4] = [
-    ("faithful", Engine::Faithful),
-    ("jump", Engine::Jump),
-    ("level-batched", Engine::LevelBatched),
-    ("histogram", Engine::Histogram),
-];
 
 /// Benches one concrete protocol so the whole allocation stack
 /// monomorphizes — the configuration every experiment binary now runs.
@@ -51,10 +44,10 @@ fn bench_engines(c: &mut Criterion) {
         let m = phi * n as u64;
         let mut group = c.benchmark_group(format!("engines/phi={phi}"));
         group.throughput(Throughput::Elements(m));
-        for (label, engine) in ENGINES {
+        for engine in Engine::ALL {
             let cfg = RunConfig::new(n, m).with_engine(engine);
-            bench_proto(&mut group, Adaptive::paper(), label, &cfg);
-            bench_proto(&mut group, Threshold, label, &cfg);
+            bench_proto(&mut group, Adaptive::paper(), engine.name(), &cfg);
+            bench_proto(&mut group, Threshold, engine.name(), &cfg);
         }
         group.finish();
     }
@@ -71,20 +64,20 @@ fn bench_heavy(c: &mut Criterion) {
     let m = (n as u64) * (n as u64);
     let mut group = c.benchmark_group(format!("engines/heavy n={n} m=n^2"));
     group.throughput(Throughput::Elements(m));
-    for (label, engine) in [
-        ("jump", Engine::Jump),
-        ("level-batched", Engine::LevelBatched),
-        ("histogram", Engine::Histogram),
-    ] {
+    for engine in Engine::ALL {
         let cfg = RunConfig::new(n, m).with_engine(engine);
-        group.bench_with_input(BenchmarkId::new("threshold", label), &cfg, |b, cfg| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut rng = SeedSequence::new(seed).rng();
-                Threshold.allocate(cfg, &mut rng, &mut NullObserver)
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::new("threshold", engine.name()),
+            &cfg,
+            |b, cfg| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    let mut rng = SeedSequence::new(seed).rng();
+                    Threshold.allocate(cfg, &mut rng, &mut NullObserver)
+                });
+            },
+        );
     }
     // The acceptance gate for the histogram engine: adaptive's heavy
     // run must stay ≥ 20× under the faithful loop's wall time (the

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Duration;
 
 fn bench_executor(c: &mut Criterion) {
-    let cfg = RunConfig::new(512, 512 * 8).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(512, 512 * 8).with_engine(Engine::Faithful);
     let reps = 16u64;
     let mut group = c.benchmark_group("parallel/replicate");
     group.throughput(Throughput::Elements(reps * cfg.m));

@@ -14,7 +14,7 @@ use std::time::Duration;
 fn bench_protocols(c: &mut Criterion) {
     let n = 4096usize;
     let m = 16 * n as u64;
-    let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
     let mut group = c.benchmark_group("protocols");
     group.throughput(Throughput::Elements(m));
     for proto in table1_suite() {

@@ -8,7 +8,7 @@
 //! rounds vs the round-occupancy engine at `n = m = 10⁷`) — one row per
 //! cell, each tagged with its `scenario`
 //! (`uniform` | `weighted` | `parallel` | `stream`), and writes a
-//! machine-readable JSON record (schema v7) so the perf trajectory is
+//! machine-readable JSON record (schema v8) so the perf trajectory is
 //! tracked in-repo. Every run is single-threaded, so rows carry no
 //! thread count.
 //! Each row carries `loads_materialized`: whether the outcome ever
@@ -393,7 +393,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"bib-bench/engines/v7\",");
+    let _ = writeln!(json, "  \"schema\": \"bib-bench/engines/v8\",");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(

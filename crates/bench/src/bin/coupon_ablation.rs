@@ -38,7 +38,7 @@ fn main() {
 
     for &n in &ns {
         let m = phi * n as u64;
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
         let spec = args.replicate_spec(reps);
         let tight = replicate_outcomes(&Adaptive::tight(), &cfg, &spec);
         let papr = replicate_outcomes(&Adaptive::paper(), &cfg, &spec);

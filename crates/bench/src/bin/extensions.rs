@@ -32,7 +32,7 @@ fn main() {
     let mut table = Table::new(vec!["batch", "time/m", "gap", "max_excess"]);
     let batches: Vec<u64> = vec![1, 16, 256, n as u64 / 4, n as u64];
     for &b in &batches {
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
         let proto = BatchedAdaptive::new(b);
         let mut time = Welford::new();
         let mut gap = Welford::new();
@@ -109,7 +109,7 @@ fn main() {
     println!("# Extension C: threshold with slack s (accept load < m/n + s); n = {n}, phi = {phi}, {reps} reps\n");
     let mut table = Table::new(vec!["slack", "time/m", "excess_vs_m", "max_load", "gap"]);
     for &s in args.pick(&[1u32, 2, 4, 8][..], &[1u32, 4][..]) {
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
         let proto = bib_core::protocols::ThresholdSlack::new(s);
         let mut time = Welford::new();
         let mut exc = Welford::new();

@@ -31,7 +31,7 @@ fn main() {
     ]);
 
     for &m in &ms {
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
         let spec = args.replicate_spec(reps);
         let ada = replicate_outcomes(&Adaptive::paper(), &cfg, &spec);
         let thr = replicate_outcomes(&Threshold, &cfg, &spec);

@@ -23,7 +23,6 @@ use bib_analysis::paper;
 use bib_bench::{f, ExpArgs, Table};
 use bib_core::partitioned::PartitionedBins;
 use bib_core::potential::{exponential_potential, EPSILON};
-use bib_core::protocol::Engine;
 use bib_core::sampler::place_below;
 use bib_rng::SeedSequence;
 
@@ -94,7 +93,7 @@ fn main() {
             for s in 1..=horizon {
                 let bound = d + s + 1;
                 for _ in 0..n {
-                    place_below(&mut bins, bound, Engine::Jump, &mut rng);
+                    place_below(&mut bins, bound, &mut rng);
                 }
                 mean_phi[s as usize] +=
                     exponential_potential(bins.as_slice(), bins.total(), EPSILON)

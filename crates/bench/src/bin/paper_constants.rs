@@ -14,7 +14,6 @@
 use bib_analysis::paper;
 use bib_bench::{f, ExpArgs, Table};
 use bib_core::partitioned::PartitionedBins;
-use bib_core::protocol::Engine;
 use bib_core::sampler::place_below;
 use bib_rng::SeedSequence;
 
@@ -45,7 +44,7 @@ fn main() {
         let mut bins = PartitionedBins::from_loads(template.clone());
         let mut y = 0u64;
         for _ in 0..n {
-            let (bin, _) = place_below(&mut bins, bound, Engine::Jump, &mut rng);
+            let (bin, _) = place_below(&mut bins, bound, &mut rng);
             if bin == 0 {
                 y += 1;
             }

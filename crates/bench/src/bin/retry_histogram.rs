@@ -39,9 +39,9 @@ fn main() {
     let cells = 16usize;
     let engine = args.engine_or(Engine::Faithful);
     assert!(
-        matches!(engine, Engine::Faithful | Engine::Jump),
+        engine == Engine::Faithful,
         "retry_histogram needs per-ball events; the batched engines (and an auto that could \
-         resolve to one) produce none (use --engine faithful or jump)"
+         resolve to one) produce none (use --engine faithful)"
     );
     let cfg = RunConfig::new(n, m).with_engine(engine);
 

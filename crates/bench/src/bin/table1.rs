@@ -38,7 +38,7 @@ fn main() {
 
     for &phi in phis {
         let m = phi * n as u64;
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
         let ceil_avg = m.div_ceil(n as u64) as f64;
 
         for proto in table1_suite() {

@@ -32,7 +32,7 @@ fn main() {
     for &n in &ns {
         for &phi in &phis {
             let m = phi * n as u64;
-            let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+            let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
             let outs = replicate_outcomes(&Adaptive::paper(), &cfg, &args.replicate_spec(reps));
             let mut w = Welford::new();
             let mut worst: f64 = 0.0;

@@ -33,7 +33,7 @@ fn main() {
         for &phi in &phis {
             let m = phi * n as u64;
             let env = (m as f64).powf(0.75) * (n as f64).powf(0.25);
-            let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+            let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Faithful));
             let outs = replicate_outcomes(&Threshold, &cfg, &args.replicate_spec(reps));
             let mut excess = Welford::new();
             let mut norm = Welford::new();

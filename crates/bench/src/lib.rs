@@ -9,10 +9,10 @@
 //! * `--quick` — shrink sizes/replicates for a fast smoke run;
 //! * `--seed <u64>` — master seed (default 2013);
 //! * `--reps <u64>` — override the replicate count;
-//! * `--engine <faithful|jump|level-batched|histogram|auto>` — override
-//!   the simulation engine (threshold-style protocols support all five;
+//! * `--engine <faithful|level-batched|histogram|auto>` — override the
+//!   simulation engine (threshold-style protocols support all four;
 //!   `one-choice`/`greedy[d]` and the weighted family additionally
-//!   understand `histogram` and `auto`);
+//!   understand `histogram` and `auto`; `jump` parses as `faithful`);
 //! * `--threads <n>` — worker threads across independent replicates
 //!   (default: machine parallelism; `1` forces serial execution). Every
 //!   run itself is single-threaded, so the thread count never changes a
@@ -117,10 +117,11 @@ impl ExpArgs {
                     );
                 }
                 "--engine" => {
-                    out.engine =
-                        Some(args.next().and_then(|v| v.parse().ok()).expect(
-                            "--engine needs faithful, jump, level-batched, histogram or auto",
-                        ));
+                    out.engine = Some(
+                        args.next()
+                            .and_then(|v| v.parse().ok())
+                            .expect("--engine needs faithful, level-batched, histogram or auto"),
+                    );
                 }
                 "--threads" => {
                     out.threads = Some(
@@ -137,7 +138,7 @@ impl ExpArgs {
                         panic!(
                             "unknown flag {other}; supported: --quick --csv --no-loads \
                              --seed <u64> --reps <u64> \
-                             --engine <faithful|jump|level-batched|histogram|auto> \
+                             --engine <faithful|level-batched|histogram|auto> \
                              --threads <n> --out <path>"
                         )
                     }
@@ -350,14 +351,14 @@ mod tests {
         assert_eq!(a.seed, 2013);
         assert_eq!(a.reps_or(100, 5), 100);
         assert_eq!(a.pick(10, 1), 10);
-        assert_eq!(a.engine_or(Engine::Jump), Engine::Jump);
+        assert_eq!(a.engine_or(Engine::Histogram), Engine::Histogram);
         assert!(a.threads.is_none());
         assert!(a.out.is_none());
         let e = ExpArgs {
             engine: Some(Engine::LevelBatched),
             ..ExpArgs::new()
         };
-        assert_eq!(e.engine_or(Engine::Jump), Engine::LevelBatched);
+        assert_eq!(e.engine_or(Engine::Histogram), Engine::LevelBatched);
         let q = ExpArgs {
             quick: true,
             ..ExpArgs::new()

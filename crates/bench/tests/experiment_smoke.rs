@@ -268,17 +268,17 @@ fn bench_json_smoke_writes_valid_json() {
     assert!(echo.contains("level-batched"));
     assert!(echo.contains("histogram"));
     let json = std::fs::read_to_string(&out_path).expect("bench_json must write its output file");
-    assert!(json.contains("\"schema\": \"bib-bench/engines/v7\""));
+    assert!(json.contains("\"schema\": \"bib-bench/engines/v8\""));
     assert!(json.contains("\"host\""), "host metadata missing");
     assert!(json.contains("\"threads\""), "worker-thread count missing");
     assert!(json.contains("\"rustc\""), "rustc version missing");
-    // Full matrix: 3 sizes x (4 engines + auto) x 2 protocols, plus the
+    // Full matrix: 3 sizes x (3 engines + auto) x 2 protocols, plus the
     // fixed-sample block at the heavy size (2 protocols x 3 engines),
     // the weighted block (3 weight shapes x (3 adaptive engines + 1
     // one-choice row)), the parallel-round block (3 protocols x
     // {faithful, histogram, auto}) and the serve-mode block (2
     // families).
-    assert_eq!(json.matches("\"protocol\"").count(), 59);
+    assert_eq!(json.matches("\"protocol\"").count(), 53);
     // Every row is tagged with its scenario and records (schema v4)
     // whether it ever materialized the dense load vector; since every
     // run is single-threaded (schema v7) only the host header carries
@@ -302,12 +302,16 @@ fn bench_json_smoke_writes_valid_json() {
         1,
         "only the host header carries a thread count"
     );
-    for engine in ["faithful", "jump", "level-batched", "histogram", "auto"] {
+    for engine in ["faithful", "level-batched", "histogram", "auto"] {
         assert!(
             json.contains(&format!("\"engine\": \"{engine}\"")),
             "missing engine {engine}"
         );
     }
+    assert!(
+        !json.contains("\"engine\": \"jump\""),
+        "jump is an alias of faithful, not a row"
+    );
     for protocol in ["one-choice", "greedy[2]"] {
         assert!(
             json.contains(&format!("\"protocol\": \"{protocol}\"")),

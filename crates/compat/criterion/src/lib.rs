@@ -42,7 +42,7 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// `name/parameter`, e.g. `BenchmarkId::new("jump", 1024)`.
+    /// `name/parameter`, e.g. `BenchmarkId::new("faithful", 1024)`.
     pub fn new(function_name: impl Into<String>, parameter: impl Display) -> Self {
         BenchmarkId {
             id: format!("{}/{}", function_name.into(), parameter),

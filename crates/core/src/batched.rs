@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn batch_one_equals_adaptive_exactly() {
-        let cfg = RunConfig::new(32, 321).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(32, 321).with_engine(Engine::Faithful);
         let b1 = BatchedAdaptive::new(1);
         let mut r1 = SplitMix64::new(5);
         let mut r2 = SplitMix64::new(5);
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn max_load_guarantee_survives_staleness() {
         for batch in [1u64, 7, 16, 64] {
-            let cfg = RunConfig::new(64, 1000).with_engine(Engine::Jump);
+            let cfg = RunConfig::new(64, 1000).with_engine(Engine::Faithful);
             for seed in 0..5u64 {
                 let out = run_protocol(&BatchedAdaptive::new(batch), &cfg, seed);
                 out.validate();
@@ -133,7 +133,7 @@ mod tests {
     fn staleness_weakly_increases_cost() {
         // Mean over replicates: T(b=n) ≥ T(b=1) − noise.
         let n = 256usize;
-        let cfg = RunConfig::new(n, 16 * n as u64).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, 16 * n as u64).with_engine(Engine::Faithful);
         let mean_t = |batch: u64| -> f64 {
             (0..10u64)
                 .map(|s| run_protocol(&BatchedAdaptive::new(batch), &cfg, s).total_samples as f64)

@@ -146,7 +146,7 @@ mod tests {
     /// outcome.
     #[test]
     fn protocol_run_replays_exactly() {
-        for engine in [Engine::Faithful, Engine::Jump] {
+        for engine in [Engine::Faithful, Engine::LevelBatched] {
             let cfg = RunConfig::new(32, 500).with_engine(engine);
             let mut rec = RecordingRng::new(SplitMix64::new(13));
             let original = Threshold.allocate(&cfg, &mut rec, &mut NullObserver);

@@ -1,28 +1,27 @@
 //! The level-batched sampling engine ([`Engine::LevelBatched`]).
 //!
 //! Threshold-style protocols place every ball into a uniformly random
-//! bin whose load is below an integer bound that is *constant over long
-//! segments* of the run: the whole run for `threshold`, one stage of
-//! `n` balls for `adaptive`, one batch for `adaptive/batch=b`. Within
-//! such a segment the faithful process is equivalent to scanning an
-//! i.i.d. uniform bin stream and accepting samples that land in a
-//! non-full bin (full = load has reached the bound `t`). This module
-//! simulates whole segments at once:
+//! bin whose load is below an integer bound. When that bound never
+//! changes over the whole run — `threshold`, `threshold(+s)`, and
+//! `adaptive` with `m ≤ n` — the faithful process is equivalent to
+//! scanning an i.i.d. uniform bin stream and accepting samples that land
+//! in a non-full bin (full = load has reached the bound `t`). This
+//! module simulates the whole run at once ([`place_batch_below`]):
 //!
-//! 1. Let `A` be the bins with load `< t` at segment start (`k₀ = |A|`).
+//! 1. Let `A` be the bins with load `< t` at the start (`k₀ = |A|`).
 //!    Samples outside `A` are pure retries; samples inside `A` — the
 //!    *A-hits* — drive the state.
 //! 2. While many balls remain, process the next `left` A-hits as one
 //!    *round*: they scatter uniformly over `A`, so the hits wasted on
-//!    bins of `A` that have filled since segment start split off with
-//!    one binomial draw, and the live hits split over the still-open
-//!    bins as a multinomial (a chain of conditional binomial draws —
-//!    the level-batched walk). Each open bin keeps `min(hits, capacity)`
+//!    bins of `A` that have filled since the start split off with one
+//!    binomial draw, and the live hits split over the still-open bins
+//!    as a multinomial (a chain of conditional binomial draws — the
+//!    level-batched walk). Each open bin keeps `min(hits, capacity)`
 //!    balls; overflow re-enters the next round, exactly as the
 //!    corresponding stream samples would.
 //! 3. Once fewer than ~`k₀` balls remain, batching stops paying for
-//!    itself and the tail is placed ball-by-ball with the jump rule
-//!    (uniform open bin + geometric sample count) — still exact.
+//!    itself and the tail is placed ball-by-ball (uniform open bin +
+//!    geometric sample count) — still exact.
 //!
 //! Step 2's rounds consume the *first* `Σ leftᵣ` A-hits of the stream
 //! and are therefore distributionally exact on the final load vector:
@@ -32,15 +31,19 @@
 //! and exact checks on degenerate cases.
 //!
 //! **What is and is not preserved.** Final loads: exact. Total samples:
-//! every A-hit costs `Geometric(k₀/n)` stream samples, so the segment's
+//! every A-hit costs `Geometric(k₀/n)` stream samples, so the run's
 //! allocation time is a negative-binomial total — drawn exactly for
 //! small counts and via its CLT limit for large ones (indistinguishable
 //! at the scales where batching matters). Per-ball events: gone by
 //! construction — `Observer::on_ball` never fires and
-//! `max_samples_per_ball` only reflects the per-ball tail. Use
-//! `Faithful`/`Jump` when per-ball traces matter.
+//! `max_samples_per_ball` only reflects the per-ball tail.
+//!
+//! **When it batches.** [`allocate_scheduled`] batches a
+//! `LevelBatched` run only if its first segment covers all `m` balls
+//! and the observer does not want stage ends. Every other run under
+//! that name — a bound that changes, or a stage trace — is the faithful
+//! per-ball loop, which is exact in every respect.
 
-use crate::partitioned::PartitionedBins;
 use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use crate::sampler::place_below;
 use crate::scenario::Scenario;
@@ -48,8 +51,8 @@ use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler, Normal};
 use bib_rng::{Rng64, RngExt};
 
 /// A protocol whose acceptance bound is a function of the ball index
-/// alone, constant over contiguous segments — the contract the
-/// level-batched driver needs.
+/// alone, constant over contiguous segments — the contract
+/// [`allocate_scheduled`] needs.
 pub trait ThresholdSchedule {
     /// Acceptance bound for ball `ball` (1-based): a bin accepts iff
     /// `load < bound`.
@@ -60,21 +63,21 @@ pub trait ThresholdSchedule {
     fn segment_end(&self, cfg: &RunConfig, ball: u64) -> u64;
 }
 
-/// Sample accounting for one batched segment.
+/// Sample accounting for one batched placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Total bin samples consumed (allocation time of the segment).
+    /// Total bin samples consumed (allocation time of the batch).
     pub samples: u64,
     /// Largest per-ball sample count *observed* — exact for tail balls,
     /// a lower bound (1) for batched balls.
     pub max_samples_per_ball: u64,
 }
 
-/// Below this many remaining balls (relative to the segment-start
+/// Below this many remaining balls (relative to the batch-start
 /// accepting count) a batched round costs more than per-ball placement:
 /// a round pays one binomial draw per open bin, so it needs a few balls
 /// per bin to amortise. Measured on the criterion `engines` bench — at
-/// `left ≈ k₀` (adaptive's stages) the per-ball tail wins.
+/// `left ≈ k₀` the per-ball tail wins.
 fn batch_cutoff(k0: usize) -> u64 {
     (4 * k0 as u64).max(64)
 }
@@ -194,8 +197,8 @@ pub fn place_batch_below<R: Rng64 + ?Sized>(
 
     let mut samples = stream_samples_for_hits(a_hits, k0 as f64 / n as f64, rng);
     let mut max_samples = u64::from(count > left);
-    // Per-ball tail: uniform open bin + geometric sample count, the
-    // jump rule against the compact open list.
+    // Per-ball tail: uniform open bin + geometric sample count against
+    // the compact open list.
     while left > 0 {
         let k = open.len();
         debug_assert!(k > 0, "capacity check above guarantees an open bin");
@@ -222,93 +225,11 @@ pub fn place_batch_below<R: Rng64 + ?Sized>(
     }
 }
 
-/// Runs a whole allocation under [`Engine::LevelBatched`]: walks the
-/// schedule's constant-bound segments and places each with
-/// [`place_batch_below`]. If the observer wants stage traces, segments
-/// are additionally capped at stage boundaries so `on_stage_end` fires
-/// exactly as it would under the sequential engines.
-///
-/// Segments too short for the round machinery to engage (fewer balls
-/// than [`batch_cutoff`] of the accepting count — every stage of
-/// `adaptive` at heavy load) skip it entirely: the driver keeps a
-/// [`PartitionedBins`] index across segments, reads the accepting count
-/// in O(1), and places such segments ball by ball with zero setup cost.
-/// Previously every stage paid an O(n) open-list scan only to fall
-/// through to the per-ball tail, which put a `O(m)`-with-a-bad-constant
-/// floor under `adaptive`'s level-batched runs.
-pub fn drive_level_batched<S, R, O>(
-    name: String,
-    cfg: &RunConfig,
-    rng: &mut R,
-    obs: &mut O,
-    schedule: &S,
-) -> Outcome
-where
-    S: ThresholdSchedule + ?Sized,
-    R: Rng64 + ?Sized,
-    O: Observer + ?Sized,
-{
-    let n64 = cfg.n as u64;
-    let mut bins = PartitionedBins::new(cfg.n);
-    let mut total_samples = 0u64;
-    let mut max_samples = 0u64;
-    let want_stages = obs.wants_stage_ends();
-    let mut ball = 1u64;
-    while ball <= cfg.m {
-        let t = schedule.bound(cfg, ball);
-        let mut end = schedule.segment_end(cfg, ball).min(cfg.m);
-        debug_assert!(end >= ball, "segment_end must not precede its ball");
-        if want_stages {
-            end = end.min(((ball - 1) / n64 + 1) * n64);
-        }
-        let count = end - ball + 1;
-        let k0 = bins.count_below(t);
-        if count < batch_cutoff(k0) {
-            // Short segment: rounds would not engage. Per-ball placement
-            // on the partitioned index is O(1) per ball; the faithful
-            // retry loop is the cheapest variant while most bins accept
-            // (expected retries < 2), the geometric jump otherwise. The
-            // two are identical in distribution (see `crate::sampler`).
-            let engine = if 2 * k0 >= cfg.n {
-                Engine::Faithful
-            } else {
-                Engine::Jump
-            };
-            for _ in 0..count {
-                let (_, samples) = place_below(&mut bins, t, engine, rng);
-                total_samples += samples;
-                max_samples = max_samples.max(samples);
-            }
-        } else {
-            let mut loads = bins.as_slice().to_vec();
-            let stats = place_batch_below(&mut loads, t, count, rng);
-            total_samples += stats.samples;
-            max_samples = max_samples.max(stats.max_samples_per_ball);
-            bins = PartitionedBins::from_loads(loads);
-        }
-        if want_stages && end.is_multiple_of(n64) {
-            obs.on_stage_end(end / n64, bins.as_slice(), end);
-        }
-        ball = end + 1;
-    }
-    if want_stages && cfg.m > 0 && !cfg.m.is_multiple_of(n64) {
-        obs.on_stage_end(cfg.m / n64 + 1, bins.as_slice(), cfg.m);
-    }
-    Outcome {
-        protocol: name,
-        n: cfg.n,
-        m: cfg.m,
-        total_samples,
-        max_samples_per_ball: max_samples,
-        loads: bins.to_load_vector().into_loads().into(),
-        scenario: Scenario::default(),
-    }
-}
-
 /// The shared `allocate` body of every threshold-scheduled protocol:
 /// resolves [`Engine::Auto`] against the measured matrix, then
-/// dispatches to the histogram driver, the level-batched driver or the
-/// per-ball loop.
+/// dispatches to the histogram driver, one [`place_batch_below`] over
+/// the whole run (level-batched, constant bound, no stage observer) or
+/// the faithful per-ball loop.
 pub fn allocate_scheduled<P, R, O>(
     protocol: &P,
     cfg: &RunConfig,
@@ -328,8 +249,22 @@ where
         Engine::Histogram => {
             crate::histogram::drive_histogram(protocol.name(), cfg, rng, obs, protocol)
         }
-        Engine::LevelBatched => drive_level_batched(protocol.name(), cfg, rng, obs, protocol),
-        engine => {
+        Engine::LevelBatched
+            if protocol.segment_end(cfg, 1) >= cfg.m && !obs.wants_stage_ends() =>
+        {
+            let mut loads = vec![0u32; cfg.n];
+            let stats = place_batch_below(&mut loads, protocol.bound(cfg, 1), cfg.m, rng);
+            Outcome {
+                protocol: protocol.name(),
+                n: cfg.n,
+                m: cfg.m,
+                total_samples: stats.samples,
+                max_samples_per_ball: stats.max_samples_per_ball,
+                loads: loads.into(),
+                scenario: Scenario::default(),
+            }
+        }
+        _ => {
             // Memoize the bound per constant-threshold segment: the
             // division inside `bound` is measurable per-ball cost on
             // the retry hot loop.
@@ -340,7 +275,7 @@ where
                     t = protocol.bound(cfg, ball);
                     seg_end = protocol.segment_end(cfg, ball);
                 }
-                place_below(bins, t, engine, rng)
+                place_below(bins, t, rng)
             })
         }
     }

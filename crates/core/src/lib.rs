@@ -18,15 +18,14 @@
 //! # Crate layout
 //!
 //! * [`bins`] — plain load vector and histogram.
-//! * [`partitioned`] — bins grouped by load with O(1) placement and O(1)
-//!   "count / pick a bin below a threshold" queries; the engine room of
-//!   the fast simulation path.
-//! * [`sampler`] — the per-ball retry engines (faithful per-sample loop
-//!   vs. geometric jump), distributionally identical.
-//! * [`level_batched`] — the third engine: whole constant-threshold
-//!   segments placed with binomial level splits, exact on final loads,
-//!   built for the `m = n²` regime.
-//! * [`histogram`] — the fourth engine: the bin dimension collapsed to
+//! * [`partitioned`] — loads plus per-level counts, with O(1) placement
+//!   and O(1) "how many bins are below a threshold" queries.
+//! * [`sampler`] — the faithful per-ball retry loop (Figures 1 and 2),
+//!   the one per-ball engine.
+//! * [`level_batched`] — the second engine: a run whose threshold never
+//!   changes placed with binomial level splits, exact on final loads;
+//!   every other run under its name is the faithful loop.
+//! * [`histogram`] — the third engine: the bin dimension collapsed to
 //!   the occupancy histogram `counts[load]`, rounds costing
 //!   `O(#distinct loads)` independent of `n`; also accelerates
 //!   `one-choice` and `greedy[d]` through their CDF landing laws.

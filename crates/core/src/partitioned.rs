@@ -1,47 +1,37 @@
-//! Bins partitioned by load: O(1) placement, O(1) threshold queries.
+//! Bins with per-level counts: O(1) placement, O(1) threshold queries.
 //!
-//! The retry loop of `threshold`/`adaptive` needs two queries fast:
-//! *how many* bins currently accept a ball (load below the threshold),
-//! and *pick one* of them uniformly. This structure keeps a permutation
-//! of the bins grouped by load (ascending), with one boundary index per
-//! load level, so both queries and ball placement are O(1).
+//! The retry loop of `threshold`/`adaptive` asks *how many* bins
+//! currently accept a ball (load below the threshold) — to assert that
+//! one exists — and the run harness asks for the maximum load. This
+//! structure keeps, next to the loads, one cumulative count per load
+//! level, so both queries and ball placement are O(1).
 //!
-//! Because loads only ever increase during an allocation run, groups only
-//! ever shrink from the left, which keeps the bookkeeping a single swap
-//! per placement — the standard technique for simulating balanced
-//! allocations at scale (needed here for the `m = n²` runs of Lemma 4.2).
+//! Because loads only ever increase during an allocation run, a
+//! placement moves exactly one bin from level `l` to level `l + 1`,
+//! which changes exactly one cumulative count.
 
 use crate::bins::LoadVector;
-use bib_rng::{Rng64, RngExt};
 
-/// Load vector with a grouped-by-load index.
+/// Load vector with cumulative per-level counts.
 ///
 /// # Examples
 ///
 /// ```
 /// use bib_core::partitioned::PartitionedBins;
-/// use bib_rng::SplitMix64;
 ///
 /// let mut bins = PartitionedBins::new(4);
 /// bins.place(0);
 /// bins.place(0);
 /// bins.place(2);
-/// assert_eq!(bins.count_below(1), 2);      // bins 1 and 3 are empty
+/// assert_eq!(bins.count_below(1), 2); // bins 1 and 3 are empty
+/// assert_eq!(bins.count_below(2), 3); // bin 0 alone has load 2
 /// assert_eq!(bins.max_load(), 2);
-/// let mut rng = SplitMix64::new(1);
-/// let open = bins.choose_below(2, &mut rng); // any bin with load < 2
-/// assert!(open != 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedBins {
     loads: Vec<u32>,
-    /// Bins sorted ascending by load (stable within a group only up to
-    /// swaps).
-    order: Vec<u32>,
-    /// `pos[b]` = index of bin `b` in `order`.
-    pos: Vec<u32>,
-    /// `boundary[l]` = index in `order` of the first bin with load ≥ `l`.
-    /// `boundary[0] = 0`; the vector always has `max_load + 2` entries so
+    /// `boundary[l]` = number of bins with load `< l`. `boundary[0] = 0`;
+    /// the vector always has `max_load + 2` entries so
     /// `boundary[max_load + 1] = n` exists.
     boundary: Vec<u32>,
     total: u64,
@@ -54,41 +44,26 @@ impl PartitionedBins {
         assert!(n <= u32::MAX as usize, "PartitionedBins: too many bins");
         Self {
             loads: vec![0; n],
-            order: (0..n as u32).collect(),
-            pos: (0..n as u32).collect(),
             boundary: vec![0, n as u32],
             total: 0,
         }
     }
 
-    /// Builds the index from explicit loads (counting sort, O(n + max)).
+    /// Builds the counts from explicit loads (counting sort, O(n + max)).
     pub fn from_loads(loads: Vec<u32>) -> Self {
         assert!(!loads.is_empty(), "PartitionedBins: need at least one bin");
-        let n = loads.len();
         let max = loads.iter().copied().max().unwrap_or(0) as usize;
-        let mut counts = vec![0u32; max + 2];
+        let mut boundary = vec![0u32; max + 2];
         for &l in &loads {
-            counts[l as usize + 1] += 1;
+            boundary[l as usize + 1] += 1;
         }
-        // Prefix-sum: counts[l] = first order-index of load-l group.
-        for l in 1..counts.len() {
-            counts[l] += counts[l - 1];
-        }
-        let boundary = counts.clone();
-        let mut order = vec![0u32; n];
-        let mut cursor = counts;
-        let mut pos = vec![0u32; n];
-        for (b, &l) in loads.iter().enumerate() {
-            let idx = cursor[l as usize];
-            order[idx as usize] = b as u32;
-            pos[b] = idx;
-            cursor[l as usize] += 1;
+        // Prefix-sum: boundary[l] = #bins with load < l.
+        for l in 1..boundary.len() {
+            boundary[l] += boundary[l - 1];
         }
         let total = loads.iter().map(|&l| l as u64).sum();
         Self {
             loads,
-            order,
-            pos,
             boundary,
             total,
         }
@@ -112,10 +87,9 @@ impl PartitionedBins {
 
     /// Current maximum load (O(1): the boundary vector's height).
     pub fn max_load(&self) -> u32 {
-        // boundary has max_load + 2 entries, but trailing groups can be
-        // empty only transiently — they never are, because an entry is
-        // appended exactly when a bin first reaches the new maximum and
-        // loads never decrease.
+        // boundary has max_load + 2 entries: an entry is appended
+        // exactly when a bin first reaches a new maximum, and loads
+        // never decrease.
         (self.boundary.len() - 2) as u32
     }
 
@@ -130,30 +104,12 @@ impl PartitionedBins {
         }
     }
 
-    /// Uniformly random bin among those with load `< t` — O(1).
-    /// Panics if no bin qualifies.
-    #[inline]
-    pub fn choose_below<R: Rng64 + ?Sized>(&self, t: u32, rng: &mut R) -> usize {
-        let k = self.count_below(t);
-        assert!(k > 0, "choose_below: no bin has load < {t}");
-        self.order[rng.range_usize(k)] as usize
-    }
-
     /// Adds one ball to bin `b` — O(1).
     #[inline]
     pub fn place(&mut self, b: usize) {
         let l = self.loads[b] as usize;
-        // The load-l group spans order[boundary[l] .. boundary[l+1]).
-        let last = self.boundary[l + 1] - 1;
-        let p = self.pos[b];
-        debug_assert!(p <= last && p >= self.boundary[l]);
-        // Swap bin b to the end of its group…
-        let other = self.order[last as usize];
-        self.order.swap(p as usize, last as usize);
-        self.pos[b] = last;
-        self.pos[other as usize] = p;
-        // …and absorb that slot into the (l+1)-group.
-        self.boundary[l + 1] = last;
+        // Bin b leaves level l for level l + 1: one fewer bin below l + 1.
+        self.boundary[l + 1] -= 1;
         self.loads[b] += 1;
         self.total += 1;
         // New global maximum ⇒ extend the boundary vector.
@@ -173,11 +129,9 @@ impl PartitionedBins {
     }
 
     /// Internal consistency check (tests and debug assertions): the
-    /// grouped order, positions and boundaries all describe `loads`.
+    /// cumulative counts and the total describe `loads`.
     pub fn check_invariants(&self) {
         let n = self.n();
-        assert_eq!(self.order.len(), n);
-        assert_eq!(self.pos.len(), n);
         assert_eq!(self.boundary[0], 0);
         assert_eq!(
             *self
@@ -186,23 +140,11 @@ impl PartitionedBins {
                 .expect("boundary always holds at least the leading 0"),
             n as u32
         );
-        // pos inverts order.
-        for (idx, &b) in self.order.iter().enumerate() {
-            assert_eq!(self.pos[b as usize] as usize, idx);
-        }
-        // order is sorted by load and boundaries delimit the groups.
-        for idx in 1..n {
-            assert!(
-                self.loads[self.order[idx - 1] as usize] <= self.loads[self.order[idx] as usize]
-            );
-        }
-        for (l, w) in self.boundary.windows(2).enumerate() {
-            for idx in w[0]..w[1] {
-                assert_eq!(
-                    self.loads[self.order[idx as usize] as usize] as usize, l,
-                    "bin in wrong group"
-                );
-            }
+        let max = self.loads.iter().copied().max().unwrap_or(0);
+        assert_eq!(self.max_load(), max, "boundary height is not the max load");
+        for (l, &below) in self.boundary.iter().enumerate() {
+            let expect = self.loads.iter().filter(|&&x| (x as usize) < l).count();
+            assert_eq!(below as usize, expect, "count below {l} is wrong");
         }
         assert_eq!(
             self.total,
@@ -256,53 +198,6 @@ mod tests {
         }
         pb.check_invariants();
         assert_eq!(pb.as_slice(), naive.as_slice());
-    }
-
-    #[test]
-    fn choose_below_returns_only_qualifying_bins() {
-        let mut pb = PartitionedBins::new(8);
-        // Load bins 0..4 to height 2.
-        for b in 0..4 {
-            pb.place(b);
-            pb.place(b);
-        }
-        let mut rng = SplitMix64::new(88);
-        for _ in 0..500 {
-            let b = pb.choose_below(1, &mut rng);
-            assert!(b >= 4, "bin {b} has load {}", pb.load(b));
-        }
-        for _ in 0..500 {
-            let b = pb.choose_below(2, &mut rng);
-            assert!(pb.load(b) < 2);
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn choose_below_is_uniform_over_group() {
-        let mut pb = PartitionedBins::new(4);
-        pb.place(0); // bin 0 has load 1, others 0
-        let mut rng = SplitMix64::new(99);
-        let mut counts = [0u32; 4];
-        for _ in 0..30_000 {
-            counts[pb.choose_below(1, &mut rng)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        for b in 1..4 {
-            assert!(
-                (9_000..11_000).contains(&counts[b]),
-                "bin {b}: {}",
-                counts[b]
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn choose_below_empty_panics() {
-        let pb = PartitionedBins::new(3);
-        let mut rng = SplitMix64::new(1);
-        pb.choose_below(0, &mut rng);
     }
 
     #[test]

@@ -13,20 +13,24 @@ use bib_rng::Rng64;
 
 /// Which simulation engine a threshold-style protocol uses.
 ///
-/// `Faithful` and `Jump` produce *identically distributed*
-/// `(bin, sample-count)` pairs per ball; see [`crate::sampler`] for the
-/// argument and the test suite for the statistical evidence. `Faithful`
-/// is the paper's literal process; `Jump` collapses each retry run into
-/// one geometric draw so that heavily loaded regimes (`m = n²`,
-/// Lemma 4.2) stay tractable.
+/// `Faithful` is the paper's literal process: every ball samples bins
+/// one at a time until one accepts (see [`crate::sampler`]). It is the
+/// one per-ball engine, so it is the one that fires
+/// `Observer::on_ball` with exact sample counts. The name `jump` still
+/// parses, as an alias of `faithful`, for command lines written against
+/// the removed geometric-jump engine (same `(bin, samples)` law per
+/// ball, slower on every measured cell).
 ///
-/// `LevelBatched` goes one step further (see [`crate::level_batched`]):
-/// it walks constant-threshold segments of the run and splits each
-/// accepting group's intake with binomial draws instead of placing balls
-/// one at a time. It is distributionally *exact on the final load
-/// vector* but does not produce per-ball traces: `Observer::on_ball`
-/// never fires, `total_samples` is a CLT-faithful draw rather than a
-/// per-ball sum, and `max_samples_per_ball` is only a lower-bound proxy.
+/// `LevelBatched` places a whole run whose acceptance bound never
+/// changes (`threshold`, `adaptive` with `m ≤ n`) with one batched call
+/// (see [`crate::level_batched`]), splitting each accepting group's
+/// intake with binomial draws instead of placing balls one at a time.
+/// It is distributionally *exact on the final load vector* but does not
+/// produce per-ball traces: `Observer::on_ball` never fires,
+/// `total_samples` is a CLT-faithful draw rather than a per-ball sum,
+/// and `max_samples_per_ball` is only a lower-bound proxy. Every other
+/// run under this name (a changing bound, or an observer that wants
+/// stage ends) is the faithful loop.
 ///
 /// `Histogram` collapses the bin dimension entirely (see
 /// [`crate::histogram`]): state is the occupancy histogram
@@ -61,11 +65,9 @@ pub enum Engine {
     /// Faithful sample-by-sample retry loop.
     #[default]
     Faithful,
-    /// Geometric-jump equivalent: draw the number of wasted samples in
-    /// one shot, then pick an accepting bin uniformly.
-    Jump,
-    /// Level-batched group placement: binomial intake splits per load
-    /// level, exact on final loads, no per-ball trace.
+    /// Level-batched group placement of a constant-bound run: binomial
+    /// intake splits per load level, exact on final loads, no per-ball
+    /// trace.
     LevelBatched,
     /// Occupancy-histogram engine: the bin dimension is collapsed to
     /// `counts[load]`; round cost is `O(#distinct loads)`, independent
@@ -80,34 +82,30 @@ impl Engine {
     /// All concrete engines, in documentation order. `Auto` is a
     /// selector, not an engine, and is deliberately absent: iterating
     /// `ALL` visits each distinct simulation path exactly once.
-    pub const ALL: [Engine; 4] = [
-        Engine::Faithful,
-        Engine::Jump,
-        Engine::LevelBatched,
-        Engine::Histogram,
-    ];
+    pub const ALL: [Engine; 3] = [Engine::Faithful, Engine::LevelBatched, Engine::Histogram];
 
     /// Canonical CLI / JSON name.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Faithful => "faithful",
-            Engine::Jump => "jump",
             Engine::LevelBatched => "level-batched",
             Engine::Histogram => "histogram",
             Engine::Auto => "auto",
         }
     }
 
-    /// Resolves `Auto` for a threshold-scheduled protocol.
+    /// Resolves `Auto` for a threshold-scheduled protocol and for the
+    /// round-synchronous parallel family (`collision`, `bounded-load`,
+    /// `parallel-greedy`).
     ///
     /// Calibrated against the committed `BENCH_engines.json` (a serial,
     /// single-worker run — see `bench_json --serial`): the histogram
-    /// engine is the measured-fastest at every size in the matrix for
-    /// every schedule shape (its round cost is independent of `n`), so
-    /// the faithful per-ball loop only wins when the run is tiny or `n`
-    /// is so large relative to `m` that the engine's `O(n)`
-    /// reconstruction and assignment permutation dominate the placement
-    /// work itself.
+    /// engine (for the parallel family, the round-occupancy engine) is
+    /// the measured-fastest at every size in the matrix for every
+    /// schedule shape (its round cost is independent of `n`), so the
+    /// faithful loop only wins when the run is tiny or `n` is so large
+    /// relative to `m` that the engine's `O(n)` reconstruction and
+    /// assignment permutation dominate the placement work itself.
     pub fn auto_scheduled(n: usize, m: u64) -> Engine {
         if m < (1 << 13) || 4 * m < n as u64 {
             Engine::Faithful
@@ -127,24 +125,6 @@ impl Engine {
             Engine::Histogram
         } else {
             Engine::Faithful
-        }
-    }
-
-    /// Resolves `Auto` for the round-synchronous parallel family
-    /// (`collision`, `bounded-load`, `parallel-greedy`), which has two
-    /// concrete paths: the faithful per-contact round loop and the
-    /// round-occupancy engine (`bib-parallel::protocols`), whose
-    /// per-round cost is `O(max multiplicity · #occupancy classes)` —
-    /// independent of the contact count. The engine still pays one
-    /// `O(n)` reconstruction pass at the end, so the faithful loop wins
-    /// only when the run is small enough to be cache-resident or `n`
-    /// dwarfs `m` (measured in `BENCH_engines.json`,
-    /// `scenario = "parallel"` rows).
-    pub fn auto_parallel(n: usize, m: u64) -> Engine {
-        if m < (1 << 13) || 4 * m < n as u64 {
-            Engine::Faithful
-        } else {
-            Engine::Histogram
         }
     }
 
@@ -175,14 +155,13 @@ impl std::str::FromStr for Engine {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "faithful" | "naive" => Ok(Engine::Faithful),
-            "jump" => Ok(Engine::Jump),
+            "faithful" | "naive" | "jump" => Ok(Engine::Faithful),
             "level-batched" | "batched" | "level_batched" => Ok(Engine::LevelBatched),
             "histogram" | "hist" => Ok(Engine::Histogram),
             "auto" | "concurrent" | "conc" => Ok(Engine::Auto),
             other => Err(format!(
-                "unknown engine {other:?}; expected faithful, jump, level-batched, histogram \
-                 or auto"
+                "unknown engine {other:?}; expected faithful, level-batched, histogram or \
+                 auto"
             )),
         }
     }
@@ -195,11 +174,12 @@ pub struct RunConfig {
     pub n: usize,
     /// Number of balls `m`.
     pub m: u64,
-    /// Simulation engine. Threshold-style protocols support all four
-    /// serial concrete engines; `one-choice`/`greedy[d]`, the weighted
-    /// family and the parallel round family each dispatch between their
-    /// faithful path and their histogram fast path (each family
-    /// documents how the remaining engine names alias onto those two);
+    /// Simulation engine. Threshold-style protocols support all three
+    /// concrete engines; `one-choice`/`greedy[d]`, the weighted family
+    /// and the parallel round family each dispatch between their
+    /// faithful path and their histogram fast path (histogram, or
+    /// `Auto` resolving to it, takes the fast path; anything else,
+    /// `LevelBatched` included, is the exact faithful path);
     /// `left[d]`, `memory` and `(1+β)` ignore the engine. The
     /// allocation process is single-threaded, whatever the engine.
     pub engine: Engine,
@@ -216,7 +196,7 @@ impl RunConfig {
         }
     }
 
-    /// Switches to the geometric-jump engine.
+    /// Selects the simulation engine.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -233,11 +213,11 @@ impl RunConfig {
 ///
 /// All methods have no-op defaults. `on_stage_end` fires after every
 /// batch of `n` placed balls (the paper's *stages*), and once more at the
-/// end if `m` is not a multiple of `n`. Under [`Engine::LevelBatched`]
-/// `on_ball` never fires (there is no per-ball event stream), and
-/// `on_stage_end` fires only when [`Observer::wants_stage_ends`] returns
-/// `true` — the batched driver then caps its segments at stage
-/// boundaries so the trace stays exact.
+/// end if `m` is not a multiple of `n`. A run that [`Engine::LevelBatched`]
+/// batches fires neither `on_ball` (there is no per-ball event stream)
+/// nor `on_stage_end`; it only batches when
+/// [`Observer::wants_stage_ends`] returns `false`, so a stage-trace
+/// observer always sees every stage.
 pub trait Observer {
     /// Called after each ball is placed: its 1-based index, the receiving
     /// bin, and how many bin samples it consumed.
@@ -247,9 +227,10 @@ pub trait Observer {
     /// and the number of balls placed so far.
     fn on_stage_end(&mut self, _tau: u64, _loads: &[u32], _total: u64) {}
 
-    /// Whether this observer consumes `on_stage_end`. The level-batched
-    /// driver asks once per run; returning `false` (as [`NullObserver`]
-    /// does) lets it batch across stage boundaries.
+    /// Whether this observer consumes `on_stage_end`. The batched
+    /// engines ask once per run; returning `false` (as [`NullObserver`]
+    /// does) lets them batch across stage boundaries — for
+    /// [`Engine::LevelBatched`], it is what allows batching at all.
     fn wants_stage_ends(&self) -> bool {
         true
     }
@@ -753,7 +734,9 @@ mod tests {
         for engine in Engine::ALL.into_iter().chain([Engine::Auto]) {
             assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
         }
-        // The removed multi-thread engine's names resolve like `auto`.
+        // The removed geometric-jump engine's name resolves like
+        // `faithful`, the removed multi-thread engine's like `auto`.
+        assert_eq!("jump".parse::<Engine>(), Ok(Engine::Faithful));
         assert_eq!("concurrent".parse::<Engine>(), Ok(Engine::Auto));
         assert_eq!("conc".parse::<Engine>(), Ok(Engine::Auto));
         assert!("warp".parse::<Engine>().is_err());

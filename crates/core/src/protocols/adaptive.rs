@@ -24,7 +24,7 @@ use bib_rng::Rng64;
 /// ```
 /// use bib_core::prelude::*;
 ///
-/// let cfg = RunConfig::new(100, 5_000).with_engine(Engine::Jump);
+/// let cfg = RunConfig::new(100, 5_000).with_engine(Engine::Faithful);
 /// let out = run_protocol(&Adaptive::paper(), &cfg, 7);
 /// assert!(out.max_load() as u64 <= cfg.max_load_bound()); // ⌈m/n⌉ + 1
 /// assert!(out.time_ratio() < 3.0);                        // Theorem 3.1
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn max_load_bound_holds_always() {
         for seed in 0..5u64 {
-            for engine in [Engine::Faithful, Engine::Jump] {
+            for engine in [Engine::Faithful, Engine::LevelBatched] {
                 let cfg = RunConfig::new(16, 103).with_engine(engine);
                 let mut rng = SplitMix64::new(seed);
                 let out = Adaptive::paper().allocate(&cfg, &mut rng, &mut NullObserver);
@@ -152,7 +152,7 @@ mod tests {
     fn tight_variant_is_perfectly_balanced() {
         // slack = 0 forces load < ⌈i/n⌉, so after m = ϕn balls every bin
         // has exactly ϕ.
-        let cfg = RunConfig::new(8, 8 * 5).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(8, 8 * 5).with_engine(Engine::Faithful);
         let mut rng = SplitMix64::new(3);
         let out = Adaptive::tight().allocate(&cfg, &mut rng, &mut NullObserver);
         out.validate();
@@ -165,7 +165,7 @@ mod tests {
         // Θ(m log n): at n = 64, ϕ = 4 the ratio T/m should be around
         // H_n ≈ 4.7, far above adaptive's small constant.
         let n = 64usize;
-        let cfg = RunConfig::new(n, (n * 4) as u64).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, (n * 4) as u64).with_engine(Engine::Faithful);
         let mut rng = SplitMix64::new(4);
         let tight = Adaptive::tight().allocate(&cfg, &mut rng, &mut NullObserver);
         let mut rng = SplitMix64::new(4);
@@ -182,7 +182,7 @@ mod tests {
     fn smoothness_beats_threshold_at_heavy_load() {
         // Corollary 3.5 vs Lemma 4.2 in miniature: m = n² with n = 64.
         let n = 64usize;
-        let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Faithful);
         let mut rng = SplitMix64::new(5);
         let ada = Adaptive::paper().allocate(&cfg, &mut rng, &mut NullObserver);
         let mut rng = SplitMix64::new(5);
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn works_when_m_not_multiple_of_n() {
-        let cfg = RunConfig::new(7, 23).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(7, 23).with_engine(Engine::Faithful);
         let mut rng = SplitMix64::new(6);
         let out = Adaptive::paper().allocate(&cfg, &mut rng, &mut NullObserver);
         out.validate();

@@ -19,7 +19,7 @@ use bib_rng::Rng64;
 /// ```
 /// use bib_core::prelude::*;
 ///
-/// let cfg = RunConfig::new(100, 10_000).with_engine(Engine::Jump);
+/// let cfg = RunConfig::new(100, 10_000).with_engine(Engine::Faithful);
 /// let out = run_protocol(&Threshold, &cfg, 7);
 /// assert!(out.max_load() as u64 <= cfg.max_load_bound());
 /// // Theorem 4.1: the excess over m is sublinear.
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn max_load_bound_holds_always() {
         for seed in 0..5u64 {
-            for engine in [Engine::Faithful, Engine::Jump] {
+            for engine in [Engine::Faithful, Engine::LevelBatched] {
                 let cfg = RunConfig::new(16, 100).with_engine(engine);
                 let mut rng = SplitMix64::new(seed);
                 let out = Threshold.allocate(&cfg, &mut rng, &mut NullObserver);
@@ -179,7 +179,7 @@ mod tests {
     fn allocation_time_close_to_m_at_moderate_size() {
         // Theorem 4.1 shape: T/m → 1. At n = 256, m = 64n the excess is
         // O(m^{3/4} n^{1/4}) ≈ small; just check the ratio is < 1.5.
-        let cfg = RunConfig::new(256, 64 * 256).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(256, 64 * 256).with_engine(Engine::Faithful);
         let mut rng = SplitMix64::new(9);
         let out = Threshold.allocate(&cfg, &mut rng, &mut NullObserver);
         assert!(out.time_ratio() < 1.5, "ratio {}", out.time_ratio());
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn slack_one_equals_paper_threshold() {
-        let cfg = RunConfig::new(32, 321).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(32, 321).with_engine(Engine::Faithful);
         let mut r1 = SplitMix64::new(3);
         let mut r2 = SplitMix64::new(3);
         let a = ThresholdSlack::new(1).allocate(&cfg, &mut r1, &mut NullObserver);
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn larger_slack_trades_load_for_time() {
         let n = 512usize;
-        let cfg = RunConfig::new(n, 32 * n as u64).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, 32 * n as u64).with_engine(Engine::Faithful);
         let mean = |s: u32| -> (f64, f64) {
             let mut t = 0.0;
             let mut ml = 0.0;
@@ -228,14 +228,15 @@ mod tests {
     #[test]
     fn engines_give_same_max_load_guarantee_and_similar_time() {
         let cfg_naive = RunConfig::new(128, 128 * 16);
-        let cfg_jump = cfg_naive.with_engine(Engine::Jump);
+        let cfg_batched = cfg_naive.with_engine(Engine::LevelBatched);
         let mut r1 = SplitMix64::new(10);
         let mut r2 = SplitMix64::new(11);
         let a = Threshold.allocate(&cfg_naive, &mut r1, &mut NullObserver);
-        let b = Threshold.allocate(&cfg_jump, &mut r2, &mut NullObserver);
+        let b = Threshold.allocate(&cfg_batched, &mut r2, &mut NullObserver);
         a.validate();
         b.validate();
+        assert!(b.max_load() as u64 <= cfg_batched.max_load_bound());
         let (ra, rb) = (a.time_ratio(), b.time_ratio());
-        assert!((ra - rb).abs() < 0.2, "naive {ra} vs jump {rb}");
+        assert!((ra - rb).abs() < 0.2, "naive {ra} vs level-batched {rb}");
     }
 }

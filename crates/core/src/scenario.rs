@@ -3,7 +3,7 @@
 //!
 //! Before this module existed the repository had three architectural
 //! silos: the uniform sequential family (everything under
-//! [`crate::protocols`], driven by the four engines), the
+//! [`crate::protocols`], driven by the engines), the
 //! heterogeneous-capacity family ([`crate::weighted`], a bespoke
 //! per-ball `run` method returning its own outcome type) and the
 //! round-synchronous parallel family (`bib-parallel::protocols`, ditto).
@@ -38,18 +38,18 @@
 //!    cross-product without knowing the concrete types.
 //!
 //! Engine dispatch now reaches every family: the uniform schedules run
-//! the four concrete engines, the weighted family and the parallel
+//! the three concrete engines, the weighted family and the parallel
 //! round family (`bib-parallel::protocols`) each dispatch between
-//! their faithful path and their histogram fast path, and `Auto`
-//! resolves per family through [`Engine::auto_scheduled`] /
-//! [`Engine::auto_fixed`] / [`Engine::auto_weighted`] /
-//! [`Engine::auto_parallel`] — no protocol silently ignores an engine
+//! their faithful path and their histogram fast path (`Histogram` →
+//! fast path, anything else → faithful), and `Auto` resolves per
+//! family through [`Engine::auto_scheduled`] (uniform schedules and
+//! the parallel family) / [`Engine::auto_fixed`] /
+//! [`Engine::auto_weighted`] — no protocol silently ignores an engine
 //! request without a documented aliasing rule.
 //!
 //! [`Engine::auto_scheduled`]: crate::protocol::Engine::auto_scheduled
 //! [`Engine::auto_fixed`]: crate::protocol::Engine::auto_fixed
 //! [`Engine::auto_weighted`]: crate::protocol::Engine::auto_weighted
-//! [`Engine::auto_parallel`]: crate::protocol::Engine::auto_parallel
 //!
 //! [`Engine`]: crate::protocol::Engine
 //! [`Observer`]: crate::protocol::Observer

@@ -31,10 +31,10 @@
 //! [`Scenario::weighted`]. Two drivers consume the schedule:
 //!
 //! * [`drive_weighted_sequential`] — the faithful per-ball alias loop
-//!   (engines `Faithful`/`Jump`), built on the shared
+//!   (every engine but `Histogram`), built on the shared
 //!   [`drive_sequential`] harness so per-ball observers fire;
 //! * [`drive_weighted_histogram`] — the weight-class histogram engine
-//!   (engines `Histogram`/`LevelBatched`): bins are grouped into
+//!   (engine `Histogram`): bins are grouped into
 //!   [`WeightClasses`]; each class keeps its own
 //!   [`OccupancyHistogram`]; a segment's intake splits across classes
 //!   with conditional binomials weighted by *open class mass*
@@ -402,10 +402,10 @@ impl Protocol for WeightedOneChoice {
 
 /// The shared `allocate` body of the weighted family: resolves
 /// [`Engine::Auto`] through [`Engine::auto_weighted`], then dispatches
-/// to the faithful per-ball driver (`Faithful`/`Jump` — the weighted
-/// family has no geometric-jump shortcut, so `Jump` aliases the
-/// faithful loop) or the weight-class histogram engine
-/// (`Histogram`/`LevelBatched`).
+/// to the weight-class histogram engine (`Histogram`) or the faithful
+/// per-ball driver (anything else: the family has no batched exact
+/// path, so `LevelBatched` keeps its exact-final-loads guarantee by
+/// running the faithful loop).
 fn allocate_weighted<S, R, O>(
     schedule: &S,
     weights: &[f64],
@@ -434,7 +434,7 @@ where
         e => (e, None),
     };
     match engine {
-        Engine::Histogram | Engine::LevelBatched => {
+        Engine::Histogram => {
             let classes = classes.unwrap_or_else(|| WeightClasses::build(weights));
             drive_weighted_histogram(schedule, weights, &classes, cfg, rng, obs)
         }

@@ -114,7 +114,7 @@ proptest! {
 
     /// End-to-end protocol invariants under arbitrary small configs:
     /// mass conservation, sample accounting, and the max-load guarantee
-    /// for the paper's protocols, on both engines.
+    /// for the paper's protocols, on every engine.
     #[test]
     fn protocol_invariants_random_configs(
         n in 1usize..64,
@@ -149,7 +149,7 @@ proptest! {
     /// config (distribution-level identity via equal streams).
     #[test]
     fn batched_one_is_adaptive(n in 1usize..32, m in 0u64..200, seed in 0u64..100) {
-        let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
         let a = run_protocol(&Adaptive::paper(), &cfg, seed);
         // Same underlying stream: run_protocol derives by name, so re-run
         // batched with the adaptive-derived seed directly.

@@ -150,11 +150,13 @@ where
     F: Fn(&Outcome) -> usize,
 {
     let mut hists = Vec::new();
-    for engine in [Engine::Faithful, Engine::Histogram] {
+    for (engine, seed_space) in [(Engine::Faithful, 0u64), (Engine::Histogram, 3_000_000)] {
         let cfg = RunConfig::new(n, m).with_engine(engine);
         let mut h = vec![0u64; cells];
         for rep in 0..reps {
-            let seed = rep + engine as u64 * 1_000_000;
+            // Distinct seed spaces per engine (fixed, not tied to the
+            // enum's layout).
+            let seed = rep + seed_space;
             let out = run_protocol(proto, &cfg, seed);
             out.validate();
             let idx = stat(&out).min(cells - 1);

@@ -207,7 +207,7 @@ impl Parser {
 }
 
 /// The `BENCH_engines.json` schema this checker accepts.
-pub const BENCH_SCHEMA: &str = "bib-bench/engines/v7";
+pub const BENCH_SCHEMA: &str = "bib-bench/engines/v8";
 
 /// Field spec for one bench result row.
 const ROW_STRINGS: &[&str] = &["protocol", "scenario", "engine"];
@@ -224,14 +224,7 @@ const ROW_NUMBERS: &[&str] = &[
 ];
 const ROW_BOOLS: &[&str] = &["loads_materialized"];
 const SCENARIOS: &[&str] = &["uniform", "weighted", "parallel", "stream"];
-const ENGINES: &[&str] = &[
-    "faithful",
-    "jump",
-    "level-batched",
-    "histogram",
-    "auto",
-    "stream",
-];
+const ENGINES: &[&str] = &["faithful", "level-batched", "histogram", "auto", "stream"];
 
 /// Validates a committed `BENCH_engines.json` document. Returns the
 /// list of problems (empty = valid).
@@ -445,7 +438,7 @@ mod tests {
 
     fn valid_doc() -> String {
         r#"{
-  "schema": "bib-bench/engines/v7",
+  "schema": "bib-bench/engines/v8",
   "seed": 2013,
   "smoke": true,
   "host": {"threads": 1, "rustc": "rustc"},
@@ -500,12 +493,17 @@ mod tests {
         assert!(check_bench(&no_stream)
             .iter()
             .any(|e| e.contains("serve-mode rows missing")));
-        // The removed concurrent engine is not a valid row engine.
-        let concurrent =
-            valid_doc().replace("\"engine\": \"faithful\"", "\"engine\": \"concurrent\"");
-        assert!(check_bench(&concurrent)
-            .iter()
-            .any(|e| e.contains("engine `concurrent` not in")));
+        // The removed concurrent and jump engines are not valid row
+        // engines.
+        for removed in ["concurrent", "jump"] {
+            let doc = valid_doc().replace(
+                "\"engine\": \"faithful\"",
+                &format!("\"engine\": \"{removed}\""),
+            );
+            assert!(check_bench(&doc)
+                .iter()
+                .any(|e| e.contains(&format!("engine `{removed}` not in"))));
+        }
         // shed_rate / alive_frac must be rates.
         let bad_rate = valid_doc().replace(
             "\"alive_frac\": 1.0,\n     \"loads",
@@ -518,8 +516,8 @@ mod tests {
 
     #[test]
     fn bench_doc_catches_schema_and_row_defects() {
-        let bad_schema = valid_doc().replace("engines/v7", "engines/v6");
-        assert!(check_bench(&bad_schema)[0].contains("expected `bib-bench/engines/v7`"));
+        let bad_schema = valid_doc().replace("engines/v8", "engines/v7");
+        assert!(check_bench(&bad_schema)[0].contains("expected `bib-bench/engines/v8`"));
 
         let missing_bool = valid_doc().replace(",\n     \"loads_materialized\": false}", "}");
         assert!(check_bench(&missing_bool)

@@ -64,9 +64,9 @@ impl Protocol for Collision {
     /// cap (256) is hit, which indicates a bug.
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
-    /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine, `Auto` the
-    /// measured cutoff [`Engine::auto_parallel`]. The round-occupancy path is *exact* as a
+    /// (see [`super`]): `Histogram` runs the round-occupancy engine,
+    /// `Auto` the measured cutoff [`Engine::auto_scheduled`], anything
+    /// else the per-contact rounds. The round-occupancy path is *exact* as a
     /// lumped chain — acceptance depends only on a bin's request
     /// multiplicity, never on its load, so the occupancy histogram is a
     /// sufficient statistic — up to the large-round

@@ -16,9 +16,9 @@
 //!
 //! Each protocol has **two execution paths**, selected through the
 //! engine in `RunConfig` (the family's resolution rule lives in
-//! [`round_occupancy`](self): `Faithful`/`Jump` → per-contact rounds,
-//! `Histogram`/`LevelBatched` → round-occupancy, `Auto` →
-//! `Engine::auto_parallel`): the *faithful* per-contact rounds of the
+//! [`round_occupancy`](self): `Histogram` → round-occupancy, `Auto` →
+//! `Engine::auto_scheduled`, anything else → per-contact rounds): the
+//! *faithful* per-contact rounds of the
 //! published processes, and the *round-occupancy engine*, which draws
 //! each round's request-multiplicity profile in one shot and resolves
 //! acceptance per multiplicity class — `O(max multiplicity · #occupancy

@@ -86,9 +86,9 @@ impl Protocol for ParallelGreedy {
     /// Runs the process; all `m` balls are placed by construction.
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
-    /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine, `Auto` the
-    /// measured cutoff [`Engine::auto_parallel`].
+    /// (see [`super`]): `Histogram` runs the round-occupancy engine,
+    /// `Auto` the measured cutoff [`Engine::auto_scheduled`], anything
+    /// else the per-contact rounds.
     fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
     where
         R: Rng64 + ?Sized,

@@ -31,18 +31,19 @@
 //!
 //! The parallel family has exactly two concrete paths, so the engine
 //! request in `RunConfig` resolves by a fixed documented rule
-//! ([`resolve_round_engine`]): `Faithful` and `Jump` run the faithful
-//! per-contact rounds (there is no geometric-jump shortcut for a
-//! synchronous round), `Histogram` and `LevelBatched` run the
-//! round-occupancy engine (the round engine *is* the family's batched
-//! path), and `Auto` resolves through [`Engine::auto_parallel`]. No
-//! request is silently ignored.
+//! ([`resolve_round_engine`]): `Histogram` runs the round-occupancy
+//! engine, `Auto` resolves through [`Engine::auto_scheduled`], and
+//! every other request — `LevelBatched` included — runs the faithful
+//! per-contact rounds. `LevelBatched` promises exact final loads, and
+//! the faithful rounds are the family's only path that keeps that
+//! promise (the round-occupancy engine's large rounds draw a
+//! moment-matched multiplicity profile). No request is silently ignored.
 //!
 //! [`occupancy_profile`]: bib_core::histogram::occupancy_profile
 //! [`hypergeometric`]: bib_core::histogram::hypergeometric
 //! [`distinct_hit_count`]: bib_core::histogram::distinct_hit_count
 //! [`OccupancyHistogram::shuffled_loads`]: bib_core::histogram::OccupancyHistogram::shuffled_loads
-//! [`Engine::auto_parallel`]: bib_core::protocol::Engine::auto_parallel
+//! [`Engine::auto_scheduled`]: bib_core::protocol::Engine::auto_scheduled
 
 use bib_core::histogram::{block_composition, materialize, random_permutation, OccupancyHistogram};
 use bib_core::loads::Loads;
@@ -60,9 +61,9 @@ const EXACT_GROUP: u64 = 8;
 /// `Histogram`.
 pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64) -> Engine {
     match engine {
-        Engine::Auto => Engine::auto_parallel(n, m),
-        Engine::Faithful | Engine::Jump => Engine::Faithful,
-        Engine::Histogram | Engine::LevelBatched => Engine::Histogram,
+        Engine::Auto => Engine::auto_scheduled(n, m),
+        Engine::Histogram => Engine::Histogram,
+        Engine::Faithful | Engine::LevelBatched => Engine::Faithful,
     }
 }
 
@@ -221,14 +222,13 @@ mod tests {
             resolve_round_engine(Engine::Faithful, 8, 8),
             Engine::Faithful
         );
-        assert_eq!(resolve_round_engine(Engine::Jump, 8, 8), Engine::Faithful);
         assert_eq!(
             resolve_round_engine(Engine::Histogram, 8, 8),
             Engine::Histogram
         );
         assert_eq!(
             resolve_round_engine(Engine::LevelBatched, 8, 8),
-            Engine::Histogram
+            Engine::Faithful
         );
         assert_eq!(resolve_round_engine(Engine::Auto, 8, 8), Engine::Faithful);
         assert_eq!(

@@ -32,7 +32,7 @@ proptest! {
         t1 in 1usize..5,
         t2 in 1usize..5,
     ) {
-        let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
         let a = replicate_outcomes(
             &Adaptive::paper(),
             &cfg,

@@ -25,7 +25,7 @@ use balls_into_bins::rng::seed::default_rng;
 fn main() {
     let buckets = 65_536usize;
     let items = 4 * buckets as u64; // average bucket load 4
-    let cfg = RunConfig::new(buckets, items).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(buckets, items).with_engine(Engine::Faithful);
 
     println!("{items} keys into {buckets} buckets (avg load 4)\n");
 

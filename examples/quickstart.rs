@@ -11,7 +11,7 @@ use balls_into_bins::core::prelude::*;
 fn main() {
     let n = 10_000usize;
     let m = 200_000u64; // ϕ = 20 balls per bin on average
-    let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
     let seed = 2013; // SPAA'13
 
     println!(

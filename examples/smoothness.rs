@@ -17,7 +17,7 @@ use balls_into_bins::core::run::run_with_observer;
 fn main() {
     let n = 2_048usize;
     let phi_stages = 256u64; // m = 256·n
-    let cfg = RunConfig::new(n, phi_stages * n as u64).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, phi_stages * n as u64).with_engine(Engine::Faithful);
 
     let mut ada_trace = StageTrace::new();
     run_with_observer(&Adaptive::paper(), &cfg, 5, &mut ada_trace);

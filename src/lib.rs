@@ -23,8 +23,8 @@
 //! use balls_into_bins::core::prelude::*;
 //!
 //! // Allocate one million balls into ten thousand bins without knowing
-//! // m in advance, with the jump engine for speed.
-//! let cfg = RunConfig::new(10_000, 1_000_000).with_engine(Engine::Jump);
+//! // m in advance, with the paper's faithful retry loop.
+//! let cfg = RunConfig::new(10_000, 1_000_000).with_engine(Engine::Faithful);
 //! let out = run_protocol(&Adaptive::paper(), &cfg, 7);
 //! assert!(out.max_load() as u64 <= cfg.max_load_bound());
 //! assert!(out.time_ratio() < 3.0); // Theorem 3.1: O(m) samples

@@ -4,7 +4,7 @@
 //! balls-into-bins list
 //! balls-into-bins constants
 //! balls-into-bins run --protocol adaptive --n 10000 --m 1000000 \
-//!     [--seed 2013] [--engine jump|faithful|level-batched|histogram|auto] [--reps 1] [--trace]
+//!     [--seed 2013] [--engine faithful|level-batched|histogram|auto] [--reps 1] [--trace]
 //! balls-into-bins serve --n 100000 --arrivals 10000000 --ticks 1000 \
 //!     [--depart 0.05] [--family greedy[2]] [--faults crash@200:0.5,recover@400:all] \
 //!     [--seed 2013] [--series] [--poisson] \
@@ -55,7 +55,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  balls-into-bins list\n  balls-into-bins constants\n  \
          balls-into-bins run --protocol <name> --n <bins> --m <balls>\n      \
-         [--seed <u64>] [--engine jump|faithful|level-batched|histogram|auto] [--reps <count>] [--trace]\n  \
+         [--seed <u64>] [--engine faithful|level-batched|histogram|auto] [--reps <count>] [--trace]\n  \
          balls-into-bins serve --n <bins> --arrivals <balls> --ticks <ticks>\n      \
          [--depart <p>] [--family one-choice|greedy[d]|adaptive|threshold] [--poisson]\n      \
          [--faults kind@tick:frac[,...]] [--seed <u64>] [--series]\n      \
@@ -131,7 +131,7 @@ fn main() {
             let mut n = None;
             let mut m = None;
             let mut seed = 2013u64;
-            let mut engine = Engine::Jump;
+            let mut engine = Engine::Faithful;
             let mut reps = 1u64;
             let mut trace = false;
             while let Some(a) = args.next() {

@@ -10,7 +10,7 @@ use balls_into_bins::rng::{RngExt, SeedSequence};
 
 #[test]
 fn parallel_replication_matches_sequential_exactly() {
-    let cfg = RunConfig::new(64, 640).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(64, 640).with_engine(Engine::Faithful);
     let seq = run_replicates(&Threshold, &cfg, 123, 12);
     let par = replicate_outcomes(
         &Threshold,
@@ -32,7 +32,7 @@ fn crs_beats_paper_protocols_on_balance_but_pays_reallocations() {
     assert!(crs.max_load() <= crs.target() + 1);
     assert!(crs.reallocations > 0, "self-balancing should do some work");
 
-    let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
     let ada = run_protocol(&Adaptive::paper(), &cfg, 5);
     assert!(ada.max_load() as u64 <= cfg.max_load_bound());
 }

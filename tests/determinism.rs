@@ -3,8 +3,8 @@
 //! The whole experiment harness is seeded: the same
 //! `(protocol, RunConfig, seed)` triple must reproduce the same
 //! [`Outcome`] bit for bit, on any machine and any run. This is what
-//! makes the paper's tables reproducible and the sampler-equivalence
-//! claim of Section 3 (faithful retry loop ≡ geometric jump, in
+//! makes the paper's tables reproducible and the engine-equivalence
+//! claims (faithful retry loop ≡ level-batched ≡ histogram engine, in
 //! distribution) testable at all.
 
 use balls_into_bins::core::prelude::*;
@@ -22,7 +22,7 @@ const PROTOCOLS: &[&str] = &[
 
 /// Two runs of the same `(protocol, RunConfig, seed)` triple produce
 /// identical outcomes — total samples, per-ball maximum, and the entire
-/// load vector — under both engines.
+/// load vector — under every engine.
 #[test]
 fn same_triple_same_outcome() {
     for name in PROTOCOLS {
@@ -58,7 +58,7 @@ fn same_triple_same_outcome() {
 #[test]
 fn replicate_batches_reproduce() {
     let proto = by_name("adaptive").expect("known protocol");
-    let cfg = RunConfig::new(64, 640).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(64, 640).with_engine(Engine::Faithful);
     let a = run_replicates(proto.as_ref(), &cfg, 99, 8);
     let b = run_replicates(proto.as_ref(), &cfg, 99, 8);
     for (x, y) in a.iter().zip(&b) {
@@ -73,16 +73,16 @@ fn replicate_batches_reproduce() {
     );
 }
 
-/// Section 3 sampler equivalence: the faithful engine and the jump
-/// engine simulate the *same* stochastic process.
+/// Engine equivalence: every concrete engine simulates the *same*
+/// stochastic process as the faithful retry loop.
 ///
-/// The two engines consume randomness differently (the jump engine
-/// replaces a retry run by one geometric draw), so outcomes cannot be
-/// compared ball-for-ball at a fixed seed; the paper's claim is equality
-/// in distribution. With all seeds fixed this test is still fully
-/// deterministic: both engines run the same replicate batch and must
+/// The batched engines consume randomness differently (they replace
+/// per-ball retry runs by binomial splits), so outcomes cannot be
+/// compared ball-for-ball at a fixed seed; the claim is equality in
+/// distribution. With all seeds fixed this test is still fully
+/// deterministic: every engine runs the same replicate batch and must
 /// agree on the distribution summaries, and each replicate must respect
-/// the `⌈m/n⌉ + 1` bound of Theorem 3.1 under either engine.
+/// the `⌈m/n⌉ + 1` bound of Theorem 3.1 under every engine.
 #[test]
 fn engines_agree_in_distribution() {
     let (n, phi, reps) = (256usize, 10u64, 32u64);

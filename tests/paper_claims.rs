@@ -12,7 +12,7 @@ use balls_into_bins::core::prelude::*;
 fn theorem31_adaptive_linear_time() {
     let mut ratios = Vec::new();
     for (n, phi) in [(256usize, 4u64), (1024, 4), (1024, 32), (4096, 8)] {
-        let cfg = RunConfig::new(n, phi * n as u64).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, phi * n as u64).with_engine(Engine::Faithful);
         let outs = run_replicates(&Adaptive::paper(), &cfg, 9, 10);
         let mean = outs.iter().map(|o| o.time_ratio()).sum::<f64>() / outs.len() as f64;
         assert!(mean < 3.0, "n={n} phi={phi}: ratio {mean}");
@@ -34,7 +34,7 @@ fn theorem41_threshold_excess_scaling() {
     let mut prev_ratio = f64::INFINITY;
     for phi in [4u64, 16, 64, 256] {
         let m = phi * n as u64;
-        let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
         let outs = run_replicates(&Threshold, &cfg, 5, 10);
         let ratio = outs.iter().map(|o| o.time_ratio()).sum::<f64>() / outs.len() as f64;
         assert!(ratio < prev_ratio + 0.02, "phi={phi}: ratio {ratio} rose");
@@ -55,7 +55,7 @@ fn theorem41_threshold_excess_scaling() {
 #[test]
 fn smoothness_separation_at_m_equals_n_squared() {
     let n = 512usize;
-    let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Faithful);
     let ada = run_replicates(&Adaptive::paper(), &cfg, 4, 5);
     let thr = run_replicates(&Threshold, &cfg, 4, 5);
     let ada_psi = ada.iter().map(|o| o.psi()).sum::<f64>() / 5.0;
@@ -80,7 +80,7 @@ fn smoothness_separation_at_m_equals_n_squared() {
 fn tight_threshold_is_coupon_collector() {
     let n = 512usize;
     let phi = 4u64;
-    let cfg = RunConfig::new(n, phi * n as u64).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, phi * n as u64).with_engine(Engine::Faithful);
     let outs = run_replicates(&Adaptive::tight(), &cfg, 11, 5);
     let mean_t = outs.iter().map(|o| o.total_samples as f64).sum::<f64>() / 5.0;
     let predicted = phi as f64 * expected_full_collection(n as u64);
@@ -100,7 +100,7 @@ fn adaptive_potentials_stationary_at_every_stage() {
     use balls_into_bins::core::protocol::StageTrace;
     use balls_into_bins::core::run::run_with_observer;
     let n = 1024usize;
-    let cfg = RunConfig::new(n, 128 * n as u64).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, 128 * n as u64).with_engine(Engine::Faithful);
     let mut trace = StageTrace::new();
     run_with_observer(&Adaptive::paper(), &cfg, 21, &mut trace);
     assert_eq!(trace.stages.len(), 128);
@@ -127,7 +127,7 @@ fn adaptive_potentials_stationary_at_every_stage() {
 fn figure3b_shape_psi_flat_vs_growing() {
     let n = 512usize;
     let psi_at = |proto: &dyn DynProtocol, m: u64| -> f64 {
-        let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+        let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
         let outs = run_replicates(proto, &cfg, 13, 8);
         outs.iter().map(|o| o.psi()).sum::<f64>() / 8.0
     };

@@ -11,13 +11,13 @@
 use balls_into_bins::core::prelude::*;
 
 /// Lemma 4.2 regime at full experiment scale: n = 4096, m = n² ≈ 16.8M,
-/// jump engine. The max-load bound must hold and the smooth/rough
+/// faithful engine. The max-load bound must hold and the smooth/rough
 /// separation must be an order of magnitude.
 #[test]
 #[ignore = "heavy: m = n^2 with n = 4096"]
 fn full_scale_n_squared_separation() {
     let n = 4096usize;
-    let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(Engine::Faithful);
     let ada = run_protocol(&Adaptive::paper(), &cfg, 1);
     let thr = run_protocol(&Threshold, &cfg, 1);
     assert!(ada.max_load() as u64 <= cfg.max_load_bound());
@@ -39,7 +39,7 @@ fn threshold_envelope_at_quarter_million_bins() {
     let n = 1usize << 18;
     let phi = 16u64;
     let m = phi * n as u64;
-    let cfg = RunConfig::new(n, m).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, m).with_engine(Engine::Faithful);
     let out = run_protocol(&Threshold, &cfg, 2);
     let env = (m as f64).powf(0.75) * (n as f64).powf(0.25);
     let norm = out.excess_samples() as f64 / env;
@@ -51,7 +51,7 @@ fn threshold_envelope_at_quarter_million_bins() {
 #[ignore = "heavy: n = 262144"]
 fn adaptive_gap_at_quarter_million_bins() {
     let n = 1usize << 18;
-    let cfg = RunConfig::new(n, 32 * n as u64).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(n, 32 * n as u64).with_engine(Engine::Faithful);
     let out = run_protocol(&Adaptive::paper(), &cfg, 3);
     assert!(out.max_load() as u64 <= cfg.max_load_bound());
     assert!(
@@ -61,8 +61,8 @@ fn adaptive_gap_at_quarter_million_bins() {
     );
 }
 
-/// Faithful engine at moderate-heavy scale: agreement with the jump
-/// engine on the time ratio within 1%.
+/// Faithful engine at moderate-heavy scale: agreement with the
+/// level-batched engine on the time ratio within 1%.
 #[test]
 #[ignore = "heavy: faithful engine, m = 8.4M"]
 fn faithful_engine_full_agreement() {
@@ -72,9 +72,9 @@ fn faithful_engine_full_agreement() {
         let cfg = RunConfig::new(n, m).with_engine(engine);
         run_protocol(&Threshold, &cfg, 4).time_ratio()
     };
-    let (faithful, jump) = (ratio(Engine::Faithful), ratio(Engine::Jump));
+    let (faithful, batched) = (ratio(Engine::Faithful), ratio(Engine::LevelBatched));
     assert!(
-        (faithful - jump).abs() < 0.01,
-        "faithful {faithful} vs jump {jump}"
+        (faithful - batched).abs() < 0.01,
+        "faithful {faithful} vs level-batched {batched}"
     );
 }
