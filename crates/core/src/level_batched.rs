@@ -76,8 +76,7 @@ pub struct BatchStats {
 /// Below this many remaining balls (relative to the batch-start
 /// accepting count) a batched round costs more than per-ball placement:
 /// a round pays one binomial draw per open bin, so it needs a few balls
-/// per bin to amortise. Measured on the criterion `engines` bench — at
-/// `left ≈ k₀` the per-ball tail wins.
+/// per bin to amortise. At `left ≈ k₀` the per-ball tail wins.
 fn batch_cutoff(k0: usize) -> u64 {
     (4 * k0 as u64).max(64)
 }

@@ -65,7 +65,7 @@ pub fn theorem41_alpha(phi: u64) -> f64 {
 
 /// Convenience: the number of access-vector entries needed until the
 /// threshold protocol with `m = ϕn` has certainly finished under the
-/// holes criterion, estimated by simulation of the *exact* process.
+/// holes condition, estimated by simulation of the *exact* process.
 /// Returns `(t, W_t)` at the first multiple of `n/4` where `W_t ≤ n`.
 pub fn simulate_until_filled<R: Rng64 + ?Sized>(n: usize, phi: u64, rng: &mut R) -> (u64, u64) {
     let mut access = vec![0u32; n];

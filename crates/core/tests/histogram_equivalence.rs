@@ -311,8 +311,8 @@ fn allocation_time_tracks_jump_engine() {
 #[test]
 fn greedy_heavy_case_is_feasible_and_sane() {
     // The acceptance regime in miniature: greedy[2] at n = 2048,
-    // m = 512·n (the full n = 10⁴, m = n² run lives in bench_json and
-    // the criterion heavy gate). Power of two choices: the gap stays
+    // m = 512·n (the full n = 10⁴, m = n² run lives in bench_json,
+    // whose row `balls-lint --check-bench` requires). Power of two choices: the gap stays
     // within a few levels of m/n even at heavy load.
     let n = 2048usize;
     let cfg = RunConfig::new(n, 512 * n as u64).with_engine(Engine::Histogram);

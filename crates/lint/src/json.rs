@@ -226,6 +226,48 @@ const ROW_BOOLS: &[&str] = &["loads_materialized"];
 const SCENARIOS: &[&str] = &["uniform", "weighted", "parallel", "stream"];
 const ENGINES: &[&str] = &["faithful", "level-batched", "histogram", "auto", "stream"];
 
+/// n = 10⁴, m = n²: the heavy sequential cell.
+const SQUARE: (f64, f64) = (1e4, 1e8);
+/// n = m = 10⁷: the heavy parallel-round cell.
+const ROUNDS: (f64, f64) = (1e7, 1e7);
+
+/// Speed gates of a full document, `(protocol, fast engine, ratio)`
+/// at `SQUARE`: the faithful engine's `wall_ms_best` must be at least
+/// `ratio` times the fast engine's. This heavy regime is where each
+/// batched engine has to earn its place over the per-ball loop.
+const RATIO_GATES: &[(&str, &str, f64)] = &[
+    ("threshold", "level-batched", 5.0),
+    ("adaptive", "histogram", 20.0),
+];
+
+/// Cells a full document must carry a histogram row for.
+const HISTOGRAM_ROWS: &[(&str, (f64, f64))] = &[
+    ("greedy[2]", SQUARE),
+    ("weighted-adaptive[near-degenerate]", SQUARE),
+    ("weighted-adaptive[two-class]", SQUARE),
+    ("collision(c=1)", ROUNDS),
+    ("bounded-load(cap=2)", ROUNDS),
+    ("parallel-greedy(d=2,r=4,q=1)", ROUNDS),
+];
+
+/// `wall_ms_best` of the first row at `(protocol, engine)` and cell
+/// `(n, m)`.
+fn wall_ms_best(rows: &[Value], protocol: &str, engine: &str, (n, m): (f64, f64)) -> Option<f64> {
+    rows.iter().find_map(|row| {
+        let Value::Obj(row) = row else { return None };
+        let is = |key: &str, want: &str| matches!(row.get(key), Some(Value::Str(s)) if s == want);
+        let num = |key: &str| match row.get(key) {
+            Some(Value::Num(v)) => Some(*v),
+            _ => None,
+        };
+        let here = is("protocol", protocol)
+            && is("engine", engine)
+            && num("n") == Some(n)
+            && num("m") == Some(m);
+        here.then(|| num("wall_ms_best")).flatten()
+    })
+}
+
 /// Validates a committed `BENCH_engines.json` document. Returns the
 /// list of problems (empty = valid).
 pub fn check_bench(text: &str) -> Vec<String> {
@@ -246,7 +288,8 @@ pub fn check_bench(text: &str) -> Vec<String> {
         _ => errs.push("missing string field `schema`".to_string()),
     }
     // Full (non-smoke) documents must carry a giant-n histogram-only
-    // row: the lazy-outcome regime the engines are meant to reach.
+    // row (the lazy-outcome regime the engines are meant to reach) and
+    // pass the speed gates; smoke sizes do not separate the engines.
     let smoke = matches!(top.get("smoke"), Some(Value::Bool(true)));
     if !matches!(top.get("seed"), Some(Value::Num(s)) if s.fract() == 0.0) {
         errs.push("missing integer field `seed`".to_string());
@@ -355,12 +398,38 @@ pub fn check_bench(text: &str) -> Vec<String> {
     if !has_stream_row {
         errs.push("no stream-scenario row (serve-mode rows missing)".to_string());
     }
-    if !smoke && !has_giant_lazy_row {
+    if smoke {
+        return errs;
+    }
+    if !has_giant_lazy_row {
         errs.push(
             "full run has no n >= 10^9 row with loads_materialized = false \
              (giant-n lazy-outcome rows missing)"
                 .to_string(),
         );
+    }
+    let (n, m) = SQUARE;
+    for &(protocol, fast, ratio) in RATIO_GATES {
+        let gate =
+            format!("speed gate `{protocol}: faithful / {fast} >= {ratio}x` at n = {n}, m = {m}");
+        match (
+            wall_ms_best(rows, protocol, "faithful", SQUARE),
+            wall_ms_best(rows, protocol, fast, SQUARE),
+        ) {
+            (Some(slow), Some(quick)) if slow >= ratio * quick => {}
+            (Some(slow), Some(quick)) => errs.push(format!(
+                "{gate} fails: wall_ms_best {slow} / {quick} = {:.2}x",
+                slow / quick
+            )),
+            _ => errs.push(format!("{gate} has no faithful or {fast} row")),
+        }
+    }
+    for &(protocol, (n, m)) in HISTOGRAM_ROWS {
+        if wall_ms_best(rows, protocol, "histogram", (n, m)).is_none() {
+            errs.push(format!(
+                "full run has no `{protocol}` histogram row at n = {n}, m = {m}"
+            ));
+        }
     }
     errs
 }
@@ -465,11 +534,67 @@ mod tests {
         assert_eq!(check_bench(&valid_doc()), Vec::<String>::new());
     }
 
+    /// One materialized result row at cell `(n, m)`, with
+    /// `wall_ms_best` = `best`.
+    fn row(protocol: &str, scenario: &str, engine: &str, (n, m): (f64, f64), best: f64) -> String {
+        format!(
+            "{{\"protocol\": \"{protocol}\", \"scenario\": \"{scenario}\", \
+             \"engine\": \"{engine}\", \"n\": {n}, \"m\": {m}, \"reps\": 1, \
+             \"wall_ms_mean\": {}, \"wall_ms_best\": {best}, \"samples_per_ball\": 1.0, \
+             \"mballs_per_sec\": 1.0, \"shed_rate\": 0.0, \"alive_frac\": 1.0, \
+             \"loads_materialized\": true}}",
+            best + 1.0
+        )
+    }
+
+    /// The histogram cells a full run must carry, spelled out here
+    /// rather than read back from `HISTOGRAM_ROWS` so that dropping a
+    /// gate fails its test.
+    const HEAVY_CELLS: [(&str, &str, (f64, f64)); 6] = [
+        ("greedy[2]", "uniform", SQUARE),
+        ("weighted-adaptive[near-degenerate]", "weighted", SQUARE),
+        ("weighted-adaptive[two-class]", "weighted", SQUARE),
+        ("collision(c=1)", "parallel", ROUNDS),
+        ("bounded-load(cap=2)", "parallel", ROUNDS),
+        ("parallel-greedy(d=2,r=4,q=1)", "parallel", ROUNDS),
+    ];
+
+    /// The rows the full-run speed gates read, both ratios exactly at
+    /// their thresholds: the two ratio pairs first, then one histogram
+    /// row per `HEAVY_CELLS` entry in order.
+    fn gate_rows() -> Vec<String> {
+        let mut rows = vec![
+            row("threshold", "uniform", "faithful", SQUARE, 50.0),
+            row("threshold", "uniform", "level-batched", SQUARE, 10.0),
+            row("adaptive", "uniform", "faithful", SQUARE, 200.0),
+            row("adaptive", "uniform", "histogram", SQUARE, 10.0),
+        ];
+        for (protocol, scenario, cell) in HEAVY_CELLS {
+            rows.push(row(protocol, scenario, "histogram", cell, 1.0));
+        }
+        rows
+    }
+
+    /// `valid_doc()` with `rows` appended, as a full (non-smoke) run
+    /// whose lazy row sits at n = 10⁹.
+    fn full_doc(rows: &[String]) -> String {
+        let doc = valid_doc()
+            .replace("\"smoke\": true", "\"smoke\": false")
+            .replace("\"n\": 4096,", "\"n\": 1000000000,");
+        let end = doc.rfind("\n  ]").expect("results array closes");
+        let extra: String = rows.iter().map(|r| format!(",\n    {r}")).collect();
+        format!("{}{extra}{}", &doc[..end], &doc[end..])
+    }
+
+    fn as_smoke(doc: &str) -> String {
+        doc.replace("\"smoke\": false", "\"smoke\": true")
+    }
+
     #[test]
     fn full_runs_require_a_giant_lazy_row() {
         // A smoke doc passes without the n >= 10^9 row; flipping the
         // `smoke` flag alone must trip the gate …
-        let full = valid_doc().replace("\"smoke\": true", "\"smoke\": false");
+        let full = full_doc(&gate_rows()).replace("\"n\": 1000000000,", "\"n\": 4096,");
         assert!(check_bench(&full)
             .iter()
             .any(|e| e.contains("giant-n lazy-outcome rows missing")));
@@ -483,6 +608,62 @@ mod tests {
         assert!(check_bench(&materialized)
             .iter()
             .any(|e| e.contains("giant-n lazy-outcome rows missing")));
+    }
+
+    #[test]
+    fn full_runs_assert_the_speed_ratios() {
+        // At exactly 5x and 20x both gates pass.
+        assert_eq!(check_bench(&full_doc(&gate_rows())), Vec::<String>::new());
+        for (fast_row, gate) in [
+            (1, "threshold: faithful / level-batched >= 5x"),
+            (3, "adaptive: faithful / histogram >= 20x"),
+        ] {
+            // A fast row a hair too slow drops the ratio under its
+            // threshold …
+            let mut rows = gate_rows();
+            rows[fast_row] =
+                rows[fast_row].replace("\"wall_ms_best\": 10,", "\"wall_ms_best\": 10.01,");
+            let slow = full_doc(&rows);
+            let errs = check_bench(&slow);
+            assert!(
+                errs.iter().any(|e| e.contains(gate) && e.contains("fails")),
+                "{gate}: {errs:?}"
+            );
+            assert_eq!(check_bench(&as_smoke(&slow)), Vec::<String>::new());
+            // … and a missing row of the pair fails the gate too.
+            for missing in [fast_row - 1, fast_row] {
+                let mut rows = gate_rows();
+                rows.remove(missing);
+                let doc = full_doc(&rows);
+                assert!(
+                    check_bench(&doc)
+                        .iter()
+                        .any(|e| e.contains(gate) && e.contains("has no")),
+                    "{gate} without row {missing}"
+                );
+                assert_eq!(check_bench(&as_smoke(&doc)), Vec::<String>::new());
+            }
+        }
+    }
+
+    #[test]
+    fn full_runs_require_the_heavy_histogram_rows() {
+        for (i, (protocol, ..)) in HEAVY_CELLS.into_iter().enumerate() {
+            let mut rows = gate_rows();
+            rows.remove(4 + i);
+            let doc = full_doc(&rows);
+            assert!(
+                check_bench(&doc)
+                    .iter()
+                    .any(|e| e.contains(&format!("no `{protocol}` histogram row"))),
+                "missing {protocol} row went unnoticed"
+            );
+            assert_eq!(check_bench(&as_smoke(&doc)), Vec::<String>::new());
+            // A row under another engine does not count.
+            let mut rows = gate_rows();
+            rows[4 + i] = rows[4 + i].replace("\"histogram\"", "\"faithful\"");
+            assert!(!check_bench(&full_doc(&rows)).is_empty());
+        }
     }
 
     #[test]

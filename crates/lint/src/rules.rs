@@ -9,7 +9,7 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | D1   | no `Instant`/`SystemTime` outside `crates/bench` and `crates/compat/criterion` |
+//! | D1   | no `Instant`/`SystemTime` outside `crates/bench` |
 //! | D2   | no `HashMap`/`HashSet` in Outcome-producing crates (hash-order iteration breaks replay) |
 //! | D3   | no ambient-entropy RNG construction (`from_entropy`, `thread_rng`, `OsRng`, …) |
 //! | P1   | no bare `unwrap()` / `expect("")` in library code of core/parallel/reloc/rng |
@@ -261,9 +261,9 @@ const PANIC_POLICY_CRATES: &[&str] = &["core", "parallel", "reloc", "rng"];
 /// The crates whose `src/` is governed by the narrowing-cast rule (N1).
 const CAST_CRATES: &[&str] = &["core", "parallel"];
 
-/// Crates allowed to read wall clocks (D1): the bench harness and the
-/// criterion stand-in measure time by definition.
-const CLOCK_CRATES: &[&str] = &["bench", "compat/criterion"];
+/// Crates allowed to read wall clocks (D1): the bench harness measures
+/// time by definition.
+const CLOCK_CRATES: &[&str] = &["bench"];
 
 /// All rule identifiers a pragma or allowlist entry may name.
 pub const RULE_IDS: &[&str] = &["D1", "D2", "D3", "P1", "N1", "C1", "C2"];
@@ -346,8 +346,8 @@ fn rule_d1(file: &SourceFile, out: &mut Vec<Finding>) {
                 "D1",
                 t.line,
                 format!(
-                    "`{}` outside crates/bench and crates/compat/criterion: wall clocks are \
-                     outside the determinism envelope; thread timing through the bench harness",
+                    "`{}` outside crates/bench: wall clocks are outside the determinism \
+                     envelope; thread timing through the bench harness",
                     t.text
                 ),
             ));

@@ -111,7 +111,7 @@ impl Drop for ScratchWorkspace {
 
 #[test]
 fn binary_exits_nonzero_on_injected_violations() {
-    // The acceptance criterion: each golden violating fixture, injected
+    // The acceptance check: each golden violating fixture, injected
     // into a scratch workspace at an in-scope path, must fail the run
     // with exit code 1 (finding), not 2 (usage error).
     let cases: &[(&str, &str, &str)] = &[

@@ -4,11 +4,11 @@
 //! `threads` scoped OS threads and returns the results **in index
 //! order**. Work is claimed through one shared atomic counter
 //! (self-scheduling), which is optimal for the near-equal-cost tasks the
-//! experiment harness produces; results travel back through a crossbeam
-//! channel and are reassembled by index, so no `unsafe`, no locks on the
-//! hot path, and no output-order dependence on scheduling.
+//! experiment harness produces; results travel back through a bounded
+//! `std::sync::mpsc` channel and are reassembled by index, so no
+//! `unsafe`, no locks on the hot path, and no output-order dependence
+//! on scheduling.
 
-use crossbeam::channel;
 use std::num::NonZeroUsize;
 // ORDERING: the one atomic here is a work-claim ticket counter; all
 // result data flows through the channel, whose send/recv pair carries
@@ -56,7 +56,7 @@ where
     // ORDERING: `next` hands out task indices; uniqueness is all that
     // matters, not ordering against other memory, so Relaxed suffices.
     let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::bounded::<(usize, T)>(count);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, T)>(count);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();

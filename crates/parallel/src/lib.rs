@@ -23,8 +23,8 @@
 //!    change which stochastic process runs.
 //!
 //! The executor is deliberately small (scoped threads + an atomic work
-//! index + a crossbeam channel) rather than a dependency on a full
-//! work-stealing runtime: the workload is embarrassingly parallel
+//! index + a `std::sync::mpsc` channel) rather than a dependency on a
+//! full work-stealing runtime: the workload is embarrassingly parallel
 //! batches of equal-cost tasks, which self-scheduling handles optimally.
 
 #![forbid(unsafe_code)]

@@ -28,9 +28,10 @@
 //! the per-tick CSV (tick, in-system, gap, max load, alive ppm,
 //! cumulative counters).
 //!
-//! Out-of-range input (`--n 0`, `--ticks 0`, a zero probe or retry
-//! budget, a fallback fraction outside [0, 1], a budget that does not
-//! fit `u32`) is reported as an `error:` line with exit code 2.
+//! Out-of-range input (`--n 0`, `left[2]` with one bin,
+//! `bounded-load(cap=0)`, `--ticks 0`, a zero probe or retry budget, a
+//! fallback fraction outside [0, 1], a budget that does not fit `u32`)
+//! is reported as an `error:` line with exit code 2.
 
 use balls_into_bins::core::prelude::*;
 use balls_into_bins::core::protocol::StageTrace;
@@ -102,17 +103,21 @@ fn parse_family(name: &str) -> Option<Family> {
 }
 
 /// Parses `bounded-load(cap=K)`; plain `bounded-load` gets the
-/// default cap of 2.
-fn parse_bounded_load(name: &str) -> Option<BoundedLoad> {
+/// default cap of 2. `None` if `name` is not a bounded-load protocol,
+/// an error if its cap is 0.
+fn parse_bounded_load(name: &str) -> Option<Result<BoundedLoad, &'static str>> {
     if name == "bounded-load" {
-        return Some(BoundedLoad::new(2));
+        return Some(Ok(BoundedLoad::new(2)));
     }
     let cap = name
         .strip_prefix("bounded-load(cap=")?
         .strip_suffix(')')?
         .parse()
         .ok()?;
-    Some(BoundedLoad::new(cap))
+    Some(match cap {
+        0 => Err("bounded-load cap must be at least 1"),
+        cap => Ok(BoundedLoad::new(cap)),
+    })
 }
 
 fn main() {
@@ -167,7 +172,15 @@ fn main() {
                 eprintln!("error: --n must be at least 1");
                 usage()
             }
+            if pname == "left[2]" && n < 2 {
+                eprintln!("error: left[2] needs --n at least 2");
+                usage()
+            }
             if let Some(bl) = parse_bounded_load(&pname) {
+                let bl = bl.unwrap_or_else(|msg| {
+                    eprintln!("error: {msg}");
+                    usage()
+                });
                 // Typed-error path: infeasible configurations (m >
                 // cap·n) are an error report and exit 1, not a panic.
                 println!("replicate,protocol,n,m,samples,time_ratio,max_load,gap,psi");

@@ -27,6 +27,22 @@ fn out_of_range_input_is_an_error_not_a_panic() {
             "--n",
         ),
         (
+            vec!["run", "--protocol", "left[2]", "--n", "1", "--m", "1000"],
+            "--n",
+        ),
+        (
+            vec![
+                "run",
+                "--protocol",
+                "bounded-load(cap=0)",
+                "--n",
+                "4",
+                "--m",
+                "10",
+            ],
+            "cap",
+        ),
+        (
             vec!["serve", "--n", "0", "--arrivals", "100", "--ticks", "5"],
             "--n",
         ),
