@@ -227,6 +227,21 @@ impl OccupancyHistogram {
         }
     }
 
+    /// The load of the bin at 0-based rank `r` in ascending-load order,
+    /// i.e. `to_sorted_loads()[r]`, in one walk over the span. Panics
+    /// unless `r < n`.
+    pub fn load_at_rank(&self, mut r: u64) -> u32 {
+        assert!(r < self.n, "load_at_rank: rank {r} of {} bins", self.n);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if r < c {
+                // lint:allow(N1): i indexes the live span, bounded by the u32 load range
+                return self.base + i as u32;
+            }
+            r -= c;
+        }
+        unreachable!("counts sum to n")
+    }
+
     /// Total remaining capacity below `t`: `Σ_{ℓ<t} (t−ℓ)·count(ℓ)`.
     pub fn capacity_below(&self, t: u32) -> u64 {
         if t <= self.base {
@@ -2030,6 +2045,35 @@ mod tests {
         h.promote(0, 2, 2);
         h.promote(0, 1, 1);
         assert_eq!(h.to_sorted_loads(), vec![0, 0, 1, 2, 2]);
+    }
+
+    #[test]
+    fn load_at_rank_indexes_sorted_loads() {
+        // Random histograms reshaped by every span-moving primitive:
+        // promotes past the end, demotes below the base, shelved bins
+        // leaving (empty interior levels) and re-entering anywhere.
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n = 1 + rng.range_u64(40) as usize;
+            let loads: Vec<u32> = (0..n).map(|_| rng.range_u64(12) as u32).collect();
+            let mut h = OccupancyHistogram::from_loads(&loads);
+            for _ in 0..30 {
+                let classes: Vec<(u32, u64)> = h.levels().collect();
+                let (l, c) = classes[rng.range_u64(classes.len() as u64) as usize];
+                let bins = 1 + rng.range_u64(c);
+                match rng.range_u64(4) {
+                    0 => h.promote(l, bins, 1 + rng.range_u64(5) as u32),
+                    1 if l > 0 => h.demote(l, bins, 1 + rng.range_u64(l as u64) as u32),
+                    2 if bins < h.n() => h.remove_bins(l, bins),
+                    _ => h.add_bins(rng.range_u64(30) as u32, bins),
+                }
+                h.check_invariants();
+                let sorted = h.to_sorted_loads();
+                for (r, &load) in sorted.iter().enumerate() {
+                    assert_eq!(h.load_at_rank(r as u64), load, "seed {seed}, rank {r}");
+                }
+            }
+        }
     }
 
     #[test]

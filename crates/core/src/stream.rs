@@ -25,6 +25,19 @@
 //! `Binomial(ℓ, p)` per-bin departure law — exact, and `O(ℓ)` per
 //! class instead of `O(n)` per tick.
 //!
+//! # One draw per contact
+//!
+//! A contact is one exact integer draw `r`, uniform over the whole
+//! fleet, read in a fixed order: the `refusing` dead and draining bins
+//! first, then the accepting bins in ascending-load order. `r <
+//! refusing` is a refused contact; otherwise `r − refusing` is the
+//! *rank* of a uniformly random accepting bin. That is the law of a
+//! uniform bin contact, because every bin owns exactly one value of
+//! `r`. Load is monotone in rank, so each family decides on the rank
+//! alone — below the bound iff the rank is below the number of open
+//! bins, least of `d` iff the least rank — and only the placed ball
+//! pays one walk over the span to turn its rank into a load.
+//!
 //! # Faults, retries, shedding
 //!
 //! A [`FaultPlan`](crate::faults::FaultPlan) is consulted at every tick
@@ -61,7 +74,7 @@ use crate::histogram::{
 };
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
-use crate::scenario::{strict_int_bound, Family, Scenario};
+use crate::scenario::{Family, Scenario};
 use bib_rng::dist::{Distribution, PoissonSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence};
 
@@ -502,81 +515,81 @@ enum Style {
     LeastOf(u32),
 }
 
-/// Uniform-by-count class pick over the accepting histogram (the class
-/// of one uniformly random accepting bin).
-fn pick_class<R: Rng64 + ?Sized>(accept: &OccupancyHistogram, rng: &mut R) -> u32 {
-    let mut r = rng.range_u64(accept.n());
-    let mut chosen = accept.max_load();
-    for (l, c) in accept.levels() {
-        if r < c {
-            chosen = l;
-            break;
-        }
-        r -= c;
-    }
-    chosen
+/// The integer fair-share bound `⌈balls/bins⌉ + 1`, saturating at
+/// `u32::MAX`: a load `ℓ` is below it iff `ℓ < balls/bins + 1`. Equal to
+/// `strict_int_bound(balls as f64 / bins as f64 + 1.0)` wherever that
+/// float form is exact (operands below 2⁵³), without the float
+/// division and fixup loop on the per-ball path.
+fn fair_share_bound(balls: u64, bins: u64) -> u32 {
+    u32::try_from(balls.div_ceil(bins).saturating_add(1)).unwrap_or(u32::MAX)
 }
 
 /// Runs one placement attempt. `Ok(samples)` placed a ball (already
 /// promoted into the accepting histogram); `Err(samples)` exhausted the
 /// probe budget.
+///
+/// Each contact is one exact draw `r` uniform on `[0, refusing +
+/// accepting)`. `r < refusing` is a dead or draining bin: the contact
+/// costs a sample and is refused. Otherwise `rank = r − refusing` is a
+/// uniform accepting bin, identified by its position in ascending-load
+/// order — the same law as drawing a uniform fleet bin and then its
+/// class. The family decides in rank space, where load is monotone in
+/// rank: `Below(t)` accepts iff `rank` falls among the
+/// `open_bins(Some(t))` lowest, and `LeastOf(d)` keeps the minimum rank,
+/// whose class is the minimum class. Only the placed ball maps its rank
+/// to a load ([`OccupancyHistogram::load_at_rank`]), so a contact is
+/// O(1) and a placement one walk over the span.
 fn place_attempt<R: Rng64 + ?Sized>(
     classes: &mut Classes,
     style: Style,
     budget: u64,
     rng: &mut R,
 ) -> Result<u64, u64> {
-    let dead_n = classes.dead.n();
-    let drain_n = classes.drain.n();
-    let refusing = dead_n + drain_n;
-    let n_total = refusing + classes.accept.n();
+    let accept_n = classes.accept.n();
+    if accept_n == 0 {
+        // Nothing can accept: every contact until the budget is wasted.
+        return Err(budget);
+    }
+    let refusing = classes.dead.n() + classes.drain.n();
+    let open = match style {
+        Style::Below(t) => classes.accept.open_bins(Some(t)),
+        Style::Uniform | Style::LeastOf(_) => accept_n,
+    };
+    let slow_p = classes.slow as f64 / accept_n as f64;
     let mut samples = 0u64;
-    let mut best: Option<u32> = None;
+    let mut best = u64::MAX;
     let mut found = 0u32;
     while samples < budget {
-        // Contact a uniformly random bin; dead and draining bins cost
-        // the probe and force a re-draw.
-        if refusing > 0 && rng.range_u64(n_total) < refusing {
+        let r = rng.range_u64(refusing + accept_n);
+        if r < refusing {
             samples += 1;
             continue;
         }
-        let accept_n = classes.accept.n();
-        if accept_n == 0 {
-            // Nothing can accept: every contact is wasted.
-            samples += 1;
-            continue;
-        }
+        let rank = r - refusing;
         // Slow bins are exchangeable within the accepting class: the
-        // contact is slow with probability slow/accept_n and then
-        // costs one extra sample.
-        let cost = if classes.slow > 0 && rng.bernoulli(classes.slow as f64 / accept_n as f64) {
+        // contact is slow with probability slow/accept_n, independent of
+        // its load, and then costs one extra sample.
+        samples += if classes.slow > 0 && rng.bernoulli(slow_p) {
             2
         } else {
             1
         };
-        samples += cost;
-        let class = pick_class(&classes.accept, rng);
-        match style {
-            Style::Uniform => {
-                classes.accept.promote(class, 1, 1);
-                return Ok(samples);
-            }
-            Style::Below(t) => {
-                if class < t {
-                    classes.accept.promote(class, 1, 1);
-                    return Ok(samples);
-                }
-            }
+        let chosen = match style {
+            Style::Uniform => rank,
+            Style::Below(_) if rank < open => rank,
+            Style::Below(_) => continue,
             Style::LeastOf(d) => {
-                best = Some(best.map_or(class, |b| b.min(class)));
+                best = best.min(rank);
                 found += 1;
-                if found >= d {
-                    let b = best.expect("greedy candidate");
-                    classes.accept.promote(b, 1, 1);
-                    return Ok(samples);
+                if found < d {
+                    continue;
                 }
+                best
             }
-        }
+        };
+        let load = classes.accept.load_at_rank(chosen);
+        classes.accept.promote(load, 1, 1);
+        return Ok(samples);
     }
     Err(samples)
 }
@@ -661,12 +674,10 @@ fn drive<R: Rng64 + ?Sized>(
                 match family {
                     Family::OneChoice => Style::Uniform,
                     Family::Greedy(d) => Style::LeastOf(d.max(1)),
-                    Family::Adaptive => Style::Below(strict_int_bound(
-                        (c.in_system + 1) as f64 / classes.accept.n() as f64 + 1.0,
-                    )),
-                    Family::Threshold => Style::Below(strict_int_bound(
-                        cfg.m as f64 / classes.accept.n() as f64 + 1.0,
-                    )),
+                    Family::Adaptive => {
+                        Style::Below(fair_share_bound(c.in_system + 1, classes.accept.n()))
+                    }
+                    Family::Threshold => Style::Below(fair_share_bound(cfg.m, classes.accept.n())),
                 }
             };
             match place_attempt(&mut classes, style, budget, rng) {
@@ -720,8 +731,10 @@ fn drive<R: Rng64 + ?Sized>(
                 in_system: c.in_system,
                 gap,
                 max_load,
-                alive_ppm: u32::try_from(classes.accept.n() * 1_000_000 / n_total)
-                    .expect("alive fraction in parts-per-million fits u32"),
+                alive_ppm: u32::try_from(
+                    u128::from(classes.accept.n()) * 1_000_000 / u128::from(n_total),
+                )
+                .expect("alive fraction in parts-per-million fits u32"),
                 placed: c.placed,
                 departed: c.departed,
                 shed: c.shed,
@@ -774,6 +787,8 @@ mod tests {
     use super::*;
     use crate::protocol::Engine;
     use crate::run::run_protocol;
+    use crate::scenario::strict_int_bound;
+    use std::collections::BTreeMap;
 
     #[test]
     fn demote_is_promotes_inverse() {
@@ -900,6 +915,157 @@ mod tests {
         // Everyone is back by the end.
         assert_eq!(s.alive_frac, 1.0);
         report.outcome.validate();
+    }
+
+    #[test]
+    fn alive_ppm_is_exact_for_giant_fleets() {
+        // accept·10⁶ overflows u64 above n ≈ 1.8·10¹³, and the collapsed
+        // driver is O(1) in n, so such fleets are reachable.
+        let spec = StreamSpec::new(2, 0.0).deterministic();
+        let cfg = RunConfig::new(20_000_000_000_000, 1_000);
+        let report = serve(&spec, Family::Adaptive, &cfg, 4);
+        assert_eq!(report.series.len(), 2);
+        for s in &report.series {
+            assert_eq!(s.alive_ppm, 1_000_000, "tick {}", s.tick);
+        }
+    }
+
+    #[test]
+    fn fair_share_bound_matches_float_form() {
+        let mut balls: Vec<u64> = (0..300).collect();
+        for k in 9..=40 {
+            let x = 1u64 << k;
+            balls.extend([x - 1, x, x + 1, x + 12_345]);
+        }
+        for a in [1u64, 2, 3, 7, 10, 64, 1_000, 99_991, 1 << 20, 1 << 40] {
+            // Exact multiples and their neighbours.
+            let multiples = (0..50u64).flat_map(|k| [a * k, a * k + 1, (a * k).saturating_sub(1)]);
+            for x in balls.iter().copied().chain(multiples) {
+                assert_eq!(
+                    fair_share_bound(x, a),
+                    strict_int_bound(x as f64 / a as f64 + 1.0),
+                    "balls {x}, bins {a}"
+                );
+            }
+        }
+        // The u32 saturation edge: ⌈x/a⌉ + 1 crossing u32::MAX.
+        let edge = u64::from(u32::MAX);
+        for a in [1u64, 2, 3] {
+            for q in edge - 3..=edge + 2 {
+                for x in [a * q - 1, a * q, a * q + 1] {
+                    assert_eq!(
+                        fair_share_bound(x, a),
+                        strict_int_bound(x as f64 / a as f64 + 1.0),
+                        "balls {x}, bins {a}"
+                    );
+                }
+            }
+        }
+        assert_eq!(fair_share_bound(u64::MAX, 1), u32::MAX);
+    }
+
+    /// Accepting classes of the one-attempt oracle fixture.
+    const ORACLE_ACCEPT: [(u32, u64); 3] = [(0, 30), (1, 50), (3, 20)];
+    const ORACLE_DEAD: u64 = 150;
+    const ORACLE_DRAIN: u64 = 50;
+    const ORACLE_SLOW: u64 = 10;
+    const ORACLE_BUDGET: u64 = 6;
+
+    fn oracle_classes() -> Classes {
+        let mut accept = OccupancyHistogram::empty();
+        for (l, c) in ORACLE_ACCEPT {
+            accept.add_bins(l, c);
+        }
+        let mut drain = OccupancyHistogram::empty();
+        drain.add_bins(2, ORACLE_DRAIN);
+        let mut dead = OccupancyHistogram::empty();
+        dead.add_bins(5, ORACLE_DEAD);
+        Classes {
+            accept,
+            drain,
+            dead,
+            slow: ORACLE_SLOW,
+        }
+    }
+
+    /// Exact law of one attempt on the oracle fixture, by a DP over
+    /// (samples, accepting contacts found, least class so far) that
+    /// draws a bin's health, slowness and class the way the process
+    /// defines them. Cells are `(landing class, samples)`, `None` for
+    /// an exhausted budget.
+    fn oracle_law(style: Style) -> BTreeMap<(Option<u32>, u64), f64> {
+        let accept: u64 = ORACLE_ACCEPT.iter().map(|&(_, c)| c).sum();
+        let total = (accept + ORACLE_DEAD + ORACLE_DRAIN) as f64;
+        let slow = ORACLE_SLOW as f64 / accept as f64;
+        let mut law = BTreeMap::new();
+        let mut states = BTreeMap::from([((0u64, 0u32, None::<u32>), 1.0f64)]);
+        // Every transition adds samples, so popping in samples order
+        // sees each state's whole mass.
+        while let Some(((s, found, best), p)) = states.pop_first() {
+            if s >= ORACLE_BUDGET {
+                *law.entry((None, s)).or_insert(0.0) += p;
+                continue;
+            }
+            let refused = (ORACLE_DEAD + ORACLE_DRAIN) as f64 / total;
+            *states.entry((s + 1, found, best)).or_insert(0.0) += p * refused;
+            for (cost, pc) in [(1u64, 1.0 - slow), (2, slow)] {
+                for (l, c) in ORACLE_ACCEPT {
+                    let q = p * pc * c as f64 / total;
+                    let s = s + cost;
+                    let (found, best) = (found + 1, best.map_or(l, |b| b.min(l)));
+                    let landed = match style {
+                        Style::Uniform => Some(l),
+                        Style::Below(t) => (l < t).then_some(l),
+                        Style::LeastOf(d) => (found >= d).then_some(best),
+                    };
+                    match landed {
+                        Some(l) => *law.entry((Some(l), s)).or_insert(0.0) += q,
+                        None => *states.entry((s, found, Some(best))).or_insert(0.0) += q,
+                    }
+                }
+            }
+        }
+        law
+    }
+
+    #[test]
+    fn one_attempt_matches_exact_law() {
+        use bib_analysis::chisq::chi_square_gof;
+        const ATTEMPTS: u64 = 100_000;
+        for (i, style) in [Style::Uniform, Style::Below(2), Style::LeastOf(2)]
+            .into_iter()
+            .enumerate()
+        {
+            let law = oracle_law(style);
+            assert!((law.values().sum::<f64>() - 1.0).abs() < 1e-12);
+            let mut rng = SeedSequence::new(31).child(i as u64).rng();
+            let mut tally: BTreeMap<(Option<u32>, u64), u64> = BTreeMap::new();
+            for _ in 0..ATTEMPTS {
+                let mut classes = oracle_classes();
+                let cell = match place_attempt(&mut classes, style, ORACLE_BUDGET, &mut rng) {
+                    Ok(samples) => {
+                        // The landing class is the one that lost a bin.
+                        let (landed, _) = ORACLE_ACCEPT
+                            .into_iter()
+                            .find(|&(l, c)| classes.accept.count(l) < c)
+                            .expect("a placement promotes one bin");
+                        (Some(landed), samples)
+                    }
+                    Err(samples) => (None, samples),
+                };
+                *tally.entry(cell).or_insert(0) += 1;
+            }
+            for cell in tally.keys() {
+                assert!(law.contains_key(cell), "{i}: impossible cell {cell:?}");
+            }
+            let observed: Vec<u64> = law
+                .keys()
+                .map(|k| tally.get(k).copied().unwrap_or(0))
+                .collect();
+            let probs: Vec<f64> = law.values().copied().collect();
+            let gof = chi_square_gof(&observed, &probs, 0, 5.0);
+            assert!(gof.p_value > 1e-4, "style {i}: {gof:?}");
+        }
     }
 
     #[test]
