@@ -41,8 +41,10 @@
 //!
 //! `greedy[d]` needs no rounds at all: order the bins by load and the
 //! least loaded of `d` uniform samples is the class containing the
-//! minimum of `d` uniform *ranks* — an exact `O(#levels)` per-ball chain
-//! that finally makes `greedy` runnable at `m = n²` scale. `one-choice`
+//! minimum of `d` uniform *ranks* — an exact per-ball chain that finally
+//! makes `greedy` runnable at `m = n²` scale. It runs on a [`RankIndex`]
+//! (cumulative class counts), so mapping the least rank to its class is
+//! an `O(log #levels)` search, not a walk over the levels. `one-choice`
 //! is the `t = ∞` threshold rule (no bin ever closes, a single round
 //! places everything).
 //!
@@ -76,6 +78,7 @@ use crate::protocol::{Observer, Outcome, RunConfig};
 use crate::scenario::Scenario;
 use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
+use std::collections::VecDeque;
 
 /// Below this many remaining balls a batched round stops paying for its
 /// fixed `O(#levels)` cost and the exact per-ball tail takes over.
@@ -114,8 +117,10 @@ const SAMPLES_EXACT_CUTOFF: u64 = 32;
 /// The occupancy histogram: `count(ℓ)` bins currently hold exactly `ℓ`
 /// balls. Loads only grow, so the live span `[min_load, max_load]` only
 /// moves up; storage is a dense vector over the span with a sliding
-/// base.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// base. Equality compares the classes, not the storage: two histograms
+/// with the same `(load, count)` pairs are equal whatever empty levels
+/// their vectors still carry.
+#[derive(Debug, Clone)]
 pub struct OccupancyHistogram {
     /// `counts[i]` = number of bins with load `base + i`.
     counts: Vec<u64>,
@@ -225,21 +230,6 @@ impl OccupancyHistogram {
                 self.counts[..hi].iter().sum()
             }
         }
-    }
-
-    /// The load of the bin at 0-based rank `r` in ascending-load order,
-    /// i.e. `to_sorted_loads()[r]`, in one walk over the span. Panics
-    /// unless `r < n`.
-    pub fn load_at_rank(&self, mut r: u64) -> u32 {
-        assert!(r < self.n, "load_at_rank: rank {r} of {} bins", self.n);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if r < c {
-                // lint:allow(N1): i indexes the live span, bounded by the u32 load range
-                return self.base + i as u32;
-            }
-            r -= c;
-        }
-        unreachable!("counts sum to n")
     }
 
     /// Total remaining capacity below `t`: `Σ_{ℓ<t} (t−ℓ)·count(ℓ)`.
@@ -445,6 +435,123 @@ impl OccupancyHistogram {
             self.n,
             "bins not conserved"
         );
+    }
+}
+
+impl PartialEq for OccupancyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.levels().eq(other.levels())
+    }
+}
+
+impl Eq for OccupancyHistogram {}
+
+/// A cumulative-count index over an [`OccupancyHistogram`] for the
+/// per-ball class chains (the serve driver's placements and
+/// [`place_least_of_d`]). `cum[i]` is the number of bins with load
+/// `≤ base + i` over the live span, so the last entry is `n`.
+///
+/// Those chains draw a uniform *rank* in ascending-load order and move
+/// the bin holding it up one level. On the index, the rank → load map
+/// is a binary search over `cum` (O(log span)) instead of a walk over
+/// the classes, `open_below(t)` is one lookup, and a one-level promote
+/// is one decrement: the moved bin crosses exactly one class boundary. Build the index from a
+/// histogram ([`RankIndex::build`]), run the chain on it, and write it
+/// back ([`RankIndex::write_back`]) before anything else touches the
+/// histogram; both ends are O(span).
+#[derive(Debug, Clone)]
+pub struct RankIndex {
+    /// `cum[i]` = number of bins with load `≤ base + i`; `cum[0] > 0`
+    /// and the last entry is `n` whenever `n > 0`.
+    cum: VecDeque<u64>,
+    base: u32,
+    n: u64,
+}
+
+impl RankIndex {
+    /// Indexes `hist` over its live span `[min_load, max_load]`. A
+    /// histogram with no bins gives an empty index.
+    pub fn build(hist: &OccupancyHistogram) -> Self {
+        let lead = hist.counts.iter().take_while(|&&c| c == 0).count();
+        let trail = hist.counts[lead..]
+            .iter()
+            .rev()
+            .take_while(|&&c| c == 0)
+            .count();
+        let live = &hist.counts[lead..hist.counts.len() - trail];
+        let mut acc = 0u64;
+        let cum = live
+            .iter()
+            .map(|&c| {
+                acc += c;
+                acc
+            })
+            .collect();
+        let lead = u32::try_from(lead).expect("the span fits the u32 load range");
+        Self {
+            cum,
+            base: hist.base + lead,
+            n: hist.n,
+        }
+    }
+
+    /// Writes the indexed classes back into `hist`, the histogram the
+    /// index was built from (its bin count is unchanged by promotes).
+    pub fn write_back(&self, hist: &mut OccupancyHistogram) {
+        debug_assert_eq!(hist.n, self.n, "write_back: another histogram");
+        let mut below = 0u64;
+        hist.counts.clear();
+        hist.counts.extend(self.cum.iter().map(|&c| {
+            let count = c - below;
+            below = c;
+            count
+        }));
+        hist.base = self.base;
+    }
+
+    /// Number of bins indexed.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// The load of the bin at 0-based rank `r` in ascending-load order,
+    /// i.e. `to_sorted_loads()[r]`: `base` plus the number of levels
+    /// whose cumulative count is `≤ r`. Panics unless `r < n`.
+    pub fn load_at_rank(&self, r: u64) -> u32 {
+        assert!(r < self.n, "load_at_rank: rank {r} of {} bins", self.n);
+        self.base
+            + u32::try_from(self.cum.partition_point(|&c| c <= r))
+                .expect("the span fits the u32 load range")
+    }
+
+    /// Number of bins with load strictly below `t`, in one lookup.
+    pub fn open_below(&self, t: u32) -> u64 {
+        if t <= self.base {
+            return 0;
+        }
+        self.cum
+            .get((t - 1 - self.base) as usize)
+            .copied()
+            .unwrap_or(self.n)
+    }
+
+    /// Moves one bin from load `l` up one level: only the count of bins
+    /// with load `≤ l` changes. Grows the span by one level at the top
+    /// and trims an emptied bottom level.
+    pub fn promote_one(&mut self, l: u32) {
+        let i = (l - self.base) as usize;
+        if cfg!(debug_assertions) {
+            let below = if i == 0 { 0 } else { self.cum[i - 1] };
+            assert!(self.cum[i] > below, "promote_one: class {l} is empty");
+        }
+        if i + 1 == self.cum.len() {
+            self.cum.push_back(self.n);
+        }
+        self.cum[i] -= 1;
+        if self.cum[0] == 0 {
+            self.cum.pop_front();
+            self.base += 1;
+        }
     }
 }
 
@@ -1703,7 +1810,9 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
 /// bins ascending by load and the least loaded of `d` uniform samples
 /// (with replacement) is the class containing the minimum of `d`
 /// uniform ranks; within the class the receiving bin is exchangeable,
-/// and both tie-break rules collapse to the same class choice.
+/// and both tie-break rules collapse to the same class choice. The
+/// chain runs on a [`RankIndex`], so a ball costs its `d` rank draws
+/// plus one O(log span) rank → load search and one decrement.
 pub fn place_least_of_d<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     d: u32,
@@ -1711,22 +1820,16 @@ pub fn place_least_of_d<R: Rng64 + ?Sized>(
     rng: &mut R,
 ) -> BatchStats {
     debug_assert!(d >= 1);
-    let n = hist.n;
+    let mut index = RankIndex::build(hist);
+    let n = index.n();
     for _ in 0..count {
         let mut r = rng.range_u64(n);
         for _ in 1..d {
             r = r.min(rng.range_u64(n));
         }
-        let mut chosen = hist.base;
-        for (i, &c) in hist.counts.iter().enumerate() {
-            if r < c {
-                chosen = hist.base + i as u32;
-                break;
-            }
-            r -= c;
-        }
-        hist.promote(chosen, 1, 1);
+        index.promote_one(index.load_at_rank(r));
     }
+    index.write_back(hist);
     BatchStats {
         samples: count * d as u64,
         max_samples_per_ball: if count > 0 { d as u64 } else { 0 },
@@ -2048,32 +2151,117 @@ mod tests {
     }
 
     #[test]
-    fn load_at_rank_indexes_sorted_loads() {
+    fn rank_index_answers_like_the_histogram() {
         // Random histograms reshaped by every span-moving primitive:
         // promotes past the end, demotes below the base, shelved bins
-        // leaving (empty interior levels) and re-entering anywhere.
-        for seed in 0..40u64 {
-            let mut rng = SplitMix64::new(seed);
-            let n = 1 + rng.range_u64(40) as usize;
-            let loads: Vec<u32> = (0..n).map(|_| rng.range_u64(12) as u32).collect();
-            let mut h = OccupancyHistogram::from_loads(&loads);
-            for _ in 0..30 {
-                let classes: Vec<(u32, u64)> = h.levels().collect();
-                let (l, c) = classes[rng.range_u64(classes.len() as u64) as usize];
-                let bins = 1 + rng.range_u64(c);
-                match rng.range_u64(4) {
-                    0 => h.promote(l, bins, 1 + rng.range_u64(5) as u32),
-                    1 if l > 0 => h.demote(l, bins, 1 + rng.range_u64(l as u64) as u32),
-                    2 if bins < h.n() => h.remove_bins(l, bins),
-                    _ => h.add_bins(rng.range_u64(30) as u32, bins),
-                }
-                h.check_invariants();
-                let sorted = h.to_sorted_loads();
-                for (r, &load) in sorted.iter().enumerate() {
-                    assert_eq!(h.load_at_rank(r as u64), load, "seed {seed}, rank {r}");
+        // leaving (empty interior levels) and re-entering anywhere. Load
+        // range 600 gives spans of several hundred levels.
+        for range in [12u64, 600] {
+            for seed in 0..40u64 {
+                let mut rng = SplitMix64::new(seed);
+                let n = 1 + rng.range_u64(40) as usize;
+                let loads: Vec<u32> = (0..n).map(|_| rng.range_u64(range) as u32).collect();
+                let mut h = OccupancyHistogram::from_loads(&loads);
+                for step in 0..=30 {
+                    if step > 0 {
+                        let classes: Vec<(u32, u64)> = h.levels().collect();
+                        let (l, c) = classes[rng.range_u64(classes.len() as u64) as usize];
+                        let bins = 1 + rng.range_u64(c);
+                        match rng.range_u64(4) {
+                            0 => h.promote(l, bins, 1 + rng.range_u64(5) as u32),
+                            1 if l > 0 => h.demote(l, bins, 1 + rng.range_u64(l as u64) as u32),
+                            2 if bins < h.n() => h.remove_bins(l, bins),
+                            _ => h.add_bins(rng.range_u64(range + range / 2) as u32, bins),
+                        }
+                        h.check_invariants();
+                    }
+                    let index = RankIndex::build(&h);
+                    assert_eq!(index.n(), h.n());
+                    let (lo, hi) = (h.min_load(), h.max_load());
+                    for (r, &load) in h.to_sorted_loads().iter().enumerate() {
+                        assert_eq!(index.load_at_rank(r as u64), load, "seed {seed}, rank {r}");
+                    }
+                    for t in lo.saturating_sub(2)..=hi + 2 {
+                        assert_eq!(
+                            index.open_below(t),
+                            h.open_bins(Some(t)),
+                            "seed {seed}, t {t}"
+                        );
+                    }
                 }
             }
         }
+        // No bins: nothing is open and nothing has a rank.
+        let mut h = OccupancyHistogram::from_loads(&[4, 6]);
+        h.remove_bins(4, 1);
+        h.remove_bins(6, 1);
+        for empty in [OccupancyHistogram::empty(), h] {
+            let index = RankIndex::build(&empty);
+            assert_eq!(index.n(), 0);
+            assert_eq!(index.open_below(0), 0);
+            assert_eq!(index.open_below(u32::MAX), 0);
+        }
+    }
+
+    /// Runs `k` one-level promotes of rank-drawn bins on an index of
+    /// `h` and on a clone through [`OccupancyHistogram::promote`],
+    /// checking every rank after every step and the written-back
+    /// histogram at the end.
+    fn assert_promotes_agree(h: &OccupancyHistogram, k: usize, mut rank: impl FnMut(u64) -> u64) {
+        let mut index = RankIndex::build(h);
+        let mut reference = h.clone();
+        for step in 0..k {
+            let l = index.load_at_rank(rank(h.n()));
+            index.promote_one(l);
+            reference.promote(l, 1, 1);
+            for (r, &load) in reference.to_sorted_loads().iter().enumerate() {
+                assert_eq!(index.load_at_rank(r as u64), load, "step {step}, rank {r}");
+            }
+        }
+        let mut back = h.clone();
+        index.write_back(&mut back);
+        back.check_invariants();
+        assert_eq!(back, reference);
+        assert_eq!(back.to_sorted_loads(), reference.to_sorted_loads());
+        assert_eq!(
+            (back.min_load(), back.max_load()),
+            (reference.min_load(), reference.max_load())
+        );
+        // The written-back storage keeps working under every primitive.
+        for h in [&mut back, &mut reference] {
+            let hi = h.max_load();
+            h.promote(hi, 1, 3);
+            h.demote(hi + 3, 1, hi + 3);
+            h.add_bins(hi + 1, 2);
+            h.promote(h.min_load(), 1, 1);
+        }
+        assert_eq!(back, reference);
+    }
+
+    #[test]
+    fn rank_index_promote_one_matches_promote() {
+        for seed in 0..60u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x9e37);
+            let range = [12u64, 30, 600][seed as usize % 3];
+            let loads: Vec<u32> = (0..1 + rng.range_u64(40))
+                .map(|_| rng.range_u64(range) as u32)
+                .collect();
+            let h = OccupancyHistogram::from_loads(&loads);
+            let k = rng.range_u64(80) as usize;
+            assert_promotes_agree(&h, k, |n| rng.range_u64(n));
+        }
+        // The top class grows the span; the lowest rank empties the
+        // bottom class.
+        let h = OccupancyHistogram::from_loads(&[2, 2, 3, 7]);
+        assert_promotes_agree(&h, 12, |n| n - 1);
+        assert_promotes_agree(&h, 12, |_| 0);
+        // A one-bin class at each end, and n = 1 (every promote both
+        // grows the top and empties the bottom).
+        let h = OccupancyHistogram::from_loads(&[0, 5, 5, 5, 9]);
+        assert_promotes_agree(&h, 6, |_| 0);
+        assert_promotes_agree(&h, 6, |n| n - 1);
+        assert_promotes_agree(&OccupancyHistogram::new(1), 50, |_| 0);
+        assert_promotes_agree(&OccupancyHistogram::from_loads(&[1_000]), 5, |_| 0);
     }
 
     #[test]

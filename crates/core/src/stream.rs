@@ -36,7 +36,16 @@
 //! `r`. Load is monotone in rank, so each family decides on the rank
 //! alone — below the bound iff the rank is below the number of open
 //! bins, least of `d` iff the least rank — and only the placed ball
-//! pays one walk over the span to turn its rank into a load.
+//! turns its rank into a load.
+//!
+//! Within a tick the fleet's health and size hold still, so the tick's
+//! placements run on one [`RankIndex`] of the accepting histogram,
+//! built after the tick's faults and written back before its
+//! departures. On the index the number of open bins is one lookup, the
+//! placed ball's rank → load map an O(log span) search and its promote
+//! one decrement: a placement costs O(log span), not a walk over the
+//! classes, which is what keeps heavy per-bin loads (spans of hundreds
+//! of levels) cheap.
 //!
 //! # Faults, retries, shedding
 //!
@@ -70,7 +79,7 @@
 
 use crate::faults::{FaultKind, FaultPlan};
 use crate::histogram::{
-    rounded_normal_count, split_binomial, split_binomial_counts, OccupancyHistogram,
+    rounded_normal_count, split_binomial, split_binomial_counts, OccupancyHistogram, RankIndex,
 };
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
@@ -524,9 +533,10 @@ fn fair_share_bound(balls: u64, bins: u64) -> u32 {
     u32::try_from(balls.div_ceil(bins).saturating_add(1)).unwrap_or(u32::MAX)
 }
 
-/// Runs one placement attempt. `Ok(samples)` placed a ball (already
-/// promoted into the accepting histogram); `Err(samples)` exhausted the
-/// probe budget.
+/// Runs one placement attempt against the accepting bins' rank index.
+/// `refusing` counts the dead and draining bins, `slow` the slow
+/// accepting ones. `Ok(samples)` placed a ball (already promoted in
+/// `accept`); `Err(samples)` exhausted the probe budget.
 ///
 /// Each contact is one exact draw `r` uniform on `[0, refusing +
 /// accepting)`. `r < refusing` is a dead or draining bin: the contact
@@ -535,27 +545,29 @@ fn fair_share_bound(balls: u64, bins: u64) -> u32 {
 /// order — the same law as drawing a uniform fleet bin and then its
 /// class. The family decides in rank space, where load is monotone in
 /// rank: `Below(t)` accepts iff `rank` falls among the
-/// `open_bins(Some(t))` lowest, and `LeastOf(d)` keeps the minimum rank,
-/// whose class is the minimum class. Only the placed ball maps its rank
-/// to a load ([`OccupancyHistogram::load_at_rank`]), so a contact is
-/// O(1) and a placement one walk over the span.
+/// [`RankIndex::open_below`]`(t)` lowest, and `LeastOf(d)` keeps the
+/// minimum rank, whose class is the minimum class. Only the placed ball
+/// maps its rank to a load ([`RankIndex::load_at_rank`], O(log span))
+/// and promotes it ([`RankIndex::promote_one`], one decrement), so a
+/// contact is O(1) and a placement O(log span).
 fn place_attempt<R: Rng64 + ?Sized>(
-    classes: &mut Classes,
+    accept: &mut RankIndex,
+    refusing: u64,
+    slow: u64,
     style: Style,
     budget: u64,
     rng: &mut R,
 ) -> Result<u64, u64> {
-    let accept_n = classes.accept.n();
+    let accept_n = accept.n();
     if accept_n == 0 {
         // Nothing can accept: every contact until the budget is wasted.
         return Err(budget);
     }
-    let refusing = classes.dead.n() + classes.drain.n();
     let open = match style {
-        Style::Below(t) => classes.accept.open_bins(Some(t)),
+        Style::Below(t) => accept.open_below(t),
         Style::Uniform | Style::LeastOf(_) => accept_n,
     };
-    let slow_p = classes.slow as f64 / accept_n as f64;
+    let slow_p = slow as f64 / accept_n as f64;
     let mut samples = 0u64;
     let mut best = u64::MAX;
     let mut found = 0u32;
@@ -569,7 +581,7 @@ fn place_attempt<R: Rng64 + ?Sized>(
         // Slow bins are exchangeable within the accepting class: the
         // contact is slow with probability slow/accept_n, independent of
         // its load, and then costs one extra sample.
-        samples += if classes.slow > 0 && rng.bernoulli(slow_p) {
+        samples += if slow > 0 && rng.bernoulli(slow_p) {
             2
         } else {
             1
@@ -587,8 +599,7 @@ fn place_attempt<R: Rng64 + ?Sized>(
                 best
             }
         };
-        let load = classes.accept.load_at_rank(chosen);
-        classes.accept.promote(load, 1, 1);
+        accept.promote_one(accept.load_at_rank(chosen));
         return Ok(samples);
     }
     Err(samples)
@@ -627,6 +638,14 @@ fn drive<R: Rng64 + ?Sized>(
     let retry = spec.retry;
     assert!(retry.probe_budget >= 1, "probe budget must be ≥ 1");
     assert!(retry.retry_budget >= 1, "retry budget must be ≥ 1");
+    if let Family::Greedy(d) = family {
+        // Each accepting contact costs at least one sample.
+        assert!(
+            d <= retry.probe_budget,
+            "greedy[{d}] needs {d} accepting contacts, more than probe budget {}",
+            retry.probe_budget
+        );
+    }
     assert!(
         (0.0..=1.0).contains(&retry.fallback_alive_frac),
         "fallback threshold outside [0, 1]"
@@ -651,7 +670,11 @@ fn drive<R: Rng64 + ?Sized>(
 
     for tick in 0..spec.ticks {
         apply_faults(&mut classes, &spec.faults, tick);
-        let accept_n = classes.accept.n();
+        // Health and bin counts hold still until the departures, so the
+        // tick's placements run on one rank index of the accepting bins.
+        let mut accept = RankIndex::build(&classes.accept);
+        let accept_n = accept.n();
+        let refusing = classes.dead.n() + classes.drain.n();
         let fallback = !matches!(family, Family::OneChoice)
             && (accept_n as f64) < retry.fallback_alive_frac * n_total as f64;
 
@@ -668,19 +691,17 @@ fn drive<R: Rng64 + ?Sized>(
             arrivals as usize,
         ));
         for mut ball in balls {
-            let style = if classes.accept.n() == 0 || fallback {
+            let style = if accept_n == 0 || fallback {
                 Style::Uniform
             } else {
                 match family {
                     Family::OneChoice => Style::Uniform,
                     Family::Greedy(d) => Style::LeastOf(d.max(1)),
-                    Family::Adaptive => {
-                        Style::Below(fair_share_bound(c.in_system + 1, classes.accept.n()))
-                    }
-                    Family::Threshold => Style::Below(fair_share_bound(cfg.m, classes.accept.n())),
+                    Family::Adaptive => Style::Below(fair_share_bound(c.in_system + 1, accept_n)),
+                    Family::Threshold => Style::Below(fair_share_bound(cfg.m, accept_n)),
                 }
             };
-            match place_attempt(&mut classes, style, budget, rng) {
+            match place_attempt(&mut accept, refusing, classes.slow, style, budget, rng) {
                 Ok(samples) => {
                     ball.samples += samples;
                     c.total_samples += samples;
@@ -710,6 +731,8 @@ fn drive<R: Rng64 + ?Sized>(
                 }
             }
         }
+
+        accept.write_back(&mut classes.accept);
 
         // Churn: the downward split. Draining bins keep departing;
         // dead bins are frozen.
@@ -918,6 +941,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "greedy[5] needs 5 accepting contacts")]
+    fn greedy_above_the_probe_budget_is_refused() {
+        // Four samples can never find five accepting contacts: every
+        // ball would be shed in a healthy fleet.
+        let retry = RetryPolicy {
+            probe_budget: 4,
+            ..RetryPolicy::default()
+        };
+        let spec = StreamSpec::new(10, 0.05).with_retry(retry);
+        serve(&spec, Family::Greedy(5), &RunConfig::new(64, 640), 1);
+    }
+
+    #[test]
     fn alive_ppm_is_exact_for_giant_fleets() {
         // accept·10⁶ overflows u64 above n ≈ 1.8·10¹³, and the collapsed
         // driver is O(1) in n, so such fleets are reachable.
@@ -1042,7 +1078,18 @@ mod tests {
             let mut tally: BTreeMap<(Option<u32>, u64), u64> = BTreeMap::new();
             for _ in 0..ATTEMPTS {
                 let mut classes = oracle_classes();
-                let cell = match place_attempt(&mut classes, style, ORACLE_BUDGET, &mut rng) {
+                let mut accept = RankIndex::build(&classes.accept);
+                let refusing = classes.dead.n() + classes.drain.n();
+                let placed = place_attempt(
+                    &mut accept,
+                    refusing,
+                    classes.slow,
+                    style,
+                    ORACLE_BUDGET,
+                    &mut rng,
+                );
+                accept.write_back(&mut classes.accept);
+                let cell = match placed {
                     Ok(samples) => {
                         // The landing class is the one that lost a bin.
                         let (landed, _) = ORACLE_ACCEPT

@@ -29,9 +29,10 @@
 //! cumulative counters).
 //!
 //! Out-of-range input (`--n 0`, `left[2]` with one bin,
-//! `bounded-load(cap=0)`, `--ticks 0`, a zero probe or retry budget, a
-//! fallback fraction outside [0, 1], a budget that does not fit `u32`)
-//! is reported as an `error:` line with exit code 2.
+//! `bounded-load(cap=0)`, `--ticks 0`, a zero probe or retry budget,
+//! `greedy[d]` with `d` above the probe budget, a fallback fraction
+//! outside [0, 1], a budget that does not fit `u32`) is reported as an
+//! `error:` line with exit code 2.
 
 use balls_into_bins::core::prelude::*;
 use balls_into_bins::core::protocol::StageTrace;
@@ -322,6 +323,18 @@ fn main() {
             if retry.probe_budget == 0 {
                 eprintln!("error: --probe-budget must be at least 1");
                 usage()
+            }
+            if let Family::Greedy(d) = family {
+                // Each accepting contact costs at least one sample, so a
+                // budget below d can never place a ball.
+                if d > retry.probe_budget {
+                    eprintln!(
+                        "error: greedy[{d}] needs {d} accepting contacts per attempt, more than \
+                         --probe-budget {} allows",
+                        retry.probe_budget
+                    );
+                    usage()
+                }
             }
             if retry.retry_budget == 0 {
                 eprintln!("error: --retry-budget must be at least 1");

@@ -75,6 +75,25 @@ fn out_of_range_input_is_an_error_not_a_panic() {
             "--fallback-frac",
         ),
         ([&serve[..], &["--depart", "nan"]].concat(), "--depart"),
+        // greedy[d] needs d accepting contacts within the probe budget.
+        (
+            vec![
+                "serve",
+                "--n",
+                "100",
+                "--arrivals",
+                "1000",
+                "--ticks",
+                "10",
+                "--family",
+                "greedy[100000]",
+            ],
+            "--probe-budget",
+        ),
+        (
+            [&serve[..], &["--family", "greedy[17]"]].concat(),
+            "--probe-budget",
+        ),
     ];
     for (args, flag) in cases {
         let (code, stderr) = exit_and_stderr(&args);
@@ -90,19 +109,23 @@ fn out_of_range_input_is_an_error_not_a_panic() {
 
 #[test]
 fn in_range_input_still_runs() {
-    let (code, stderr) = exit_and_stderr(&[
-        "serve",
-        "--n",
-        "10",
-        "--arrivals",
-        "100",
-        "--ticks",
-        "5",
-        "--probe-budget",
-        "1",
-        "--fallback-frac",
-        "1",
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stderr.contains("resident="), "{stderr}");
+    let serve = ["serve", "--n", "10", "--arrivals", "100", "--ticks", "5"];
+    for extra in [
+        // A budget of one sample is in range for a one-probe family.
+        &[
+            "--family",
+            "one-choice",
+            "--probe-budget",
+            "1",
+            "--fallback-frac",
+            "1",
+        ][..],
+        // d equal to the default budget of 16 is still placeable.
+        &["--family", "greedy[16]"][..],
+    ] {
+        let args = [&serve[..], extra].concat();
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stderr.contains("resident="), "{args:?}: {stderr}");
+    }
 }

@@ -190,3 +190,88 @@ fn gap_returns_to_pre_fault_band_after_mass_failure() {
         band + 1
     );
 }
+
+/// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of an outcome's final loads, ascending.
+fn loads_words(out: &Outcome) -> impl Iterator<Item = u64> {
+    out.loads
+        .histogram()
+        .to_sorted_loads()
+        .into_iter()
+        .map(u64::from)
+}
+
+/// Draw-stream pins: a faulted serve run per family under the perfbench
+/// plan, digested over its whole `TickStats` series and its final sorted
+/// loads. Any change to the draws a serve run makes — the contact draws,
+/// the rank → load map, the fault splits, the departures — moves these.
+/// A change that alters the draw stream on purpose updates the pins and
+/// says so.
+#[test]
+fn faulted_serve_draw_stream_is_pinned() {
+    let pins = [
+        (Family::OneChoice, 0x10e2_3dbf_2886_f27bu64),
+        (Family::Greedy(2), 0xa3b5_d7f6_4352_b700),
+        (Family::Adaptive, 0x7f7b_daaf_08b8_e011),
+        (Family::Threshold, 0x7d6f_17e7_aaec_85b1),
+    ];
+    let seed = 5u64;
+    let plan = FaultPlan::parse(
+        "crash@60:0.9,slow@80:0.3,drain@100:0.2,recover@140:all",
+        seed,
+    )
+    .expect("the pinned plan parses");
+    let spec = StreamSpec::new(170, 0.1)
+        .with_faults(plan)
+        .with_retry(RetryPolicy {
+            probe_budget: 8,
+            ..RetryPolicy::default()
+        });
+    let cfg = RunConfig::new(2_000, 170 * 1_000);
+    for (family, pin) in pins {
+        let report = serve(&spec, family, &cfg, seed);
+        let series = report.series.iter().flat_map(|t| {
+            [
+                t.tick,
+                t.in_system,
+                u64::from(t.gap),
+                u64::from(t.max_load),
+                u64::from(t.alive_ppm),
+                t.placed,
+                t.departed,
+                t.shed,
+                t.fallbacks,
+                t.samples,
+            ]
+        });
+        let digest = fnv1a(series.chain(loads_words(&report.outcome)));
+        assert_eq!(
+            digest, pin,
+            "{family:?}: draw stream moved to {digest:#018x}"
+        );
+    }
+}
+
+/// Draw-stream pin of the histogram engine's per-ball `greedy[2]` chain
+/// at `m = n²`: total samples plus the final sorted loads.
+#[test]
+fn histogram_greedy_draw_stream_is_pinned() {
+    let cfg = RunConfig::new(1_024, 1_024 * 1_024).with_engine(Engine::Histogram);
+    let out = run_protocol(&GreedyD::new(2), &cfg, 5);
+    let digest = fnv1a(std::iter::once(out.total_samples).chain(loads_words(&out)));
+    assert_eq!(
+        digest, 0x479a_be56_b56f_bae9,
+        "draw stream moved to {digest:#018x}"
+    );
+}
