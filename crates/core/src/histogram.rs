@@ -13,26 +13,30 @@
 //! # How a round works
 //!
 //! For threshold-style rules (uniform over bins with load `< t`) a
-//! *round* throws all `left` remaining balls at the open bins frozen at
+//! *round* throws the `left` remaining balls at the open bins frozen at
 //! round start — exactly the level-batched argument: in the faithful
-//! sample stream these are the next `left` hits on the round-start open
-//! set, hits beyond a bin's remaining capacity are rejections, and the
-//! rejected overflow re-enters the next round. The difference is where
-//! the hits land:
+//! sample stream these are the next hits on the round-start open set,
+//! hits beyond a bin's remaining capacity are rejections, and the
+//! rejected overflow re-enters the next round. The difference is that
+//! the round never looks at a single bin (`poissonized_round`):
 //!
-//! 1. the round's hits split over the occupancy *classes* with a chain
-//!    of conditional binomials (one draw per distinct load, not per
-//!    bin);
-//! 2. within a class of `c` exchangeable bins receiving `h` hits, the
-//!    per-bin hit multiplicities are resolved by `scatter_class`:
-//!    exactly for small classes (`c ≤ 64`: per-bin binomial chain) and
-//!    small intakes (`h ≤ 64`: per-hit collision walk), and for large
-//!    classes by *occupancy-cell sampling* — the number of bins with
-//!    exactly `j` hits is drawn as `Binomial(c_rem, pmf_j/tail_j)` of
-//!    the exact `Bin(h, 1/c)` marginal (an exact multinomial over that
-//!    marginal), followed by a proportional single-level repair of the
-//!    sum drift so mass conservation and the capacity bound hold
-//!    surely.
+//! 1. every open bin gets an independent `Poisson(λ)` hit count, drawn
+//!    as one conditional-binomial chain over the Poisson pmf
+//!    (`split_poisson_counts`) — the *profile*, `cells[j]` = open
+//!    bins with exactly `j` hits, in `O(√λ)` draws whatever `n`;
+//! 2. given their total `N`, the Poisson counts are exactly the counts
+//!    of `N` uniform hits. A small round (`left ≤ 2¹⁴`) draws at
+//!    `λ·k = left` and repairs `N` to exactly `left`, one uniform hit
+//!    added or removed at a time; a large round draws at
+//!    `left − √left`, redraws while `N > left`, and processes the next
+//!    `N` hits;
+//! 3. each multiplicity group `cells[j]` spreads over the occupancy
+//!    classes with a conditional hypergeometric chain
+//!    ([`block_composition`]), and each share is promoted by
+//!    `min(j, t − load)` — the caps apply exactly.
+//!
+//! The weight-class engine ([`crate::weighted`]) runs the same round
+//! with one bin group per weight class.
 //!
 //! Once fewer than a small cutoff of balls remain, the tail runs the
 //! *exact* collapsed Markov chain, one ball at a time: pick a class with
@@ -45,19 +49,21 @@
 //! makes `greedy` runnable at `m = n²` scale. It runs on a [`RankIndex`]
 //! (cumulative class counts), so mapping the least rank to its class is
 //! an `O(log #levels)` search, not a walk over the levels. `one-choice`
-//! is the `t = ∞` threshold rule (no bin ever closes, a single round
-//! places everything).
+//! is the `t = ∞` threshold rule (no bin ever closes, so a round keeps
+//! every hit it processes).
 //!
 //! # What is and is not preserved
 //!
-//! *Final loads*: exact in distribution for `greedy[d]` at every size,
-//! for every per-ball tail, and for every scatter below the exact-path
-//! thresholds; the large-class cell sampling and the wide conditional
-//! splits (rounded-normal above a variance floor) are moment-exact
-//! approximations — expected cell counts sit at their exact marginals,
-//! mass conservation and the `⌈m/n⌉+1` capacity bound hold surely —
-//! whose residual error the chi-square suite in
-//! `tests/histogram_equivalence.rs` bounds against the faithful engine.
+//! *Final loads*: exact in distribution for `greedy[d]`, for every
+//! per-ball tail and for one open bin. A round has two moment-matched
+//! draws, each stated once: the chain's [`split_binomial`] is a rounded
+//! normal above variance `SPLIT_NORMAL_VAR` = 4, and
+//! [`hypergeometric`] above `PER_HIT_SPLIT` = 8 draws, each with the
+//! exact draw's mean and variance. Mass conservation and the `⌈m/n⌉+1`
+//! capacity bound hold surely. The round oracle tests check a round's
+//! kept count one-sample against its exact law, and the chi-square
+//! suite in `tests/histogram_equivalence.rs` bounds whole runs against
+//! the faithful engine.
 //! *Bin identities*: synthetic — and **lazy**: a no-observer run
 //! returns the histogram itself plus a reconstruction seed
 //! ([`crate::loads::Loads`]), and a concrete vector is only built if a
@@ -67,8 +73,10 @@
 //! with a stage-trace observer materialize eagerly through one seeded
 //! permutation so bin identities stay consistent across the trace.
 //! *Total samples*: a
-//! CLT-faithful negative-binomial draw per round, exact geometrics on
-//! the tail, exactly `d·m` / `m` for `greedy[d]` / `one-choice`.
+//! negative-binomial draw per round, priced on the hits the round
+//! processed — a sum of geometrics up to 32 hits, its CLT normal above —
+//! exact geometrics on the tail, exactly `d·m` / `m` for `greedy[d]` /
+//! `one-choice`.
 //! *Per-ball events*: `Observer::on_ball` never fires; stage traces fire
 //! exactly when the observer wants them (segments cap at stage
 //! boundaries, like the level-batched driver).
@@ -76,7 +84,7 @@
 use crate::level_batched::{BatchStats, ThresholdSchedule};
 use crate::protocol::{Observer, Outcome, RunConfig};
 use crate::scenario::Scenario;
-use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler};
+use bib_rng::dist::{ln_factorial, BinomialSampler, Distribution, GeometricSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
 use std::collections::VecDeque;
 
@@ -84,20 +92,14 @@ use std::collections::VecDeque;
 /// fixed `O(#levels)` cost and the exact per-ball tail takes over.
 const ROUND_CUTOFF: u64 = 32;
 
-/// Multiplicity groups of at most this many bins are assigned to their
-/// levels one bin at a time (exact sequential hypergeometric); larger
-/// groups run the level chain, whose draws amortise over the group.
+/// [`hypergeometric`] draws of at most this many items run the exact
+/// sequential pick (one uniform per draw); larger ones are
+/// moment-matched, which amortises their cost over the draws.
 const PER_HIT_SPLIT: u64 = 8;
 
-/// Classes with at most this many bins scatter their hits with an exact
-/// per-bin binomial chain, so small runs never touch the approximate
-/// cell sampling (the small-case equivalence tests rely on this).
-const EXACT_BINS: u64 = 64;
-
-/// Intakes of at most this many hits scatter with an exact per-hit
-/// collision walk when the class is small; for large classes the
-/// occupancy-cell walk is cheaper once the intake passes a few hits, so
-/// the per-hit path only covers intakes short enough to beat it.
+/// [`occupancy_profile`] and [`distinct_hit_count`] run their exact
+/// per-hit walk up to this many hits; above it the profile is a hazard
+/// walk with drift repair and the distinct count a rounded normal.
 const EXACT_HITS: u64 = 64;
 
 /// Conditional-split binomials with variance `n·p·(1−p)` at or above
@@ -428,6 +430,20 @@ impl OccupancyHistogram {
         loads
     }
 
+    /// Drops the empty levels at both ends of the storage, and its spare
+    /// capacity, so a histogram kept past its run (a lazy
+    /// [`crate::loads::Loads`]) holds only its live span. Runs leave a
+    /// dead low prefix behind, because a promote slides the base only
+    /// when it grows the top.
+    pub(crate) fn trim(&mut self) {
+        let lead = self.counts.iter().take_while(|&&c| c == 0).count();
+        self.counts.drain(..lead);
+        self.base += u32::try_from(lead).expect("the span fits the u32 load range");
+        let trail = self.counts.iter().rev().take_while(|&&c| c == 0).count();
+        self.counts.truncate(self.counts.len() - trail);
+        self.counts.shrink_to_fit();
+    }
+
     /// Internal consistency check (tests): bin count conserved.
     pub fn check_invariants(&self) {
         assert_eq!(
@@ -653,9 +669,10 @@ fn cheap_std_normal<R: Rng64 + ?Sized>(rng: &mut R) -> f64 {
 
 /// `Binomial(n, p)` for the wide conditional splits: exact while the
 /// variance is moderate, rounded-normal (clamped to the support) above
-/// [`SPLIT_NORMAL_VAR`]. Shared with the weight-class engine's
-/// cross-class intake splits and the parallel round-occupancy engine's
-/// open-set request splits.
+/// [`SPLIT_NORMAL_VAR`]. The step of every count chain
+/// (`split_counts`), and shared with the serve driver's health-class
+/// moves and the parallel round-occupancy engine's open-set request
+/// splits.
 pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     if n == 0 || p <= 0.0 {
         return 0;
@@ -675,16 +692,9 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// Splits `bins` exchangeable bins over independent per-bin
 /// `Binomial(trials, p)` counts: calls `f(k, count)` once for every
 /// count `k` that receives bins, in ascending `k`, with the counts
-/// summing to `bins`. A conditional binomial chain over the pmf (exact
-/// multinomial over the marginal): the bins at `k` are
-/// `split_binomial(rest, P[K = k] / P[K ≥ k])`.
-///
-/// The pmf is seeded as `trials · ln(1 − p)` and carried in log space
-/// until it surfaces above `1e-290` — the same seeding as the hazard
-/// walks — so heavy `trials` do not underflow `P[K = 0]` to zero and
-/// dump the whole class into `k = trials`. While the pmf is still
-/// submerged no bin can land (the true mass there is below `1e-290`
-/// per bin), so those levels cost no draw.
+/// summing to `bins`. The conditional chain of `split_counts` over
+/// the binomial pmf (exact multinomial over the marginal), seeded at
+/// `P[K = 0] = (1 − p)^trials`.
 pub fn split_binomial_counts<R, F>(bins: u64, trials: u32, p: f64, rng: &mut R, mut f: F)
 where
     R: Rng64 + ?Sized,
@@ -702,16 +712,84 @@ where
         return;
     }
     let odds = p / (1.0 - p);
-    let mut ln_pmf = trials as f64 * (-p).ln_1p();
+    let last = u64::from(trials);
+    let ln_pmf = trials as f64 * (-p).ln_1p();
+    let ratio = |k: u64| (last - k) as f64 / (k + 1) as f64 * odds;
+    split_counts(bins, 0, ln_pmf, last, ratio, rng, |k, x| {
+        f(u32::try_from(k).expect("k ≤ trials"), x)
+    });
+}
+
+/// Splits `bins` exchangeable bins over independent per-bin
+/// `Poisson(lambda)` counts: calls `f(j, count)` once for every count
+/// `j` that receives bins, in ascending `j`, with the counts summing to
+/// `bins` — the hit profile of a [`poissonized_round`]. The conditional
+/// chain of [`split_counts`] over the Poisson pmf. It starts at
+/// `λ − reach` and parks the stragglers at `λ + reach`
+/// ([`tail_reach`]): a bin lands outside that window with probability
+/// below `e⁻³⁰⁰`, so a round costs `O(√λ)` levels whatever its mean,
+/// and its profile holds at most `bins` entries.
+fn split_poisson_counts<R, F>(bins: u64, lambda: f64, rng: &mut R, mut f: F)
+where
+    R: Rng64 + ?Sized,
+    F: FnMut(u64, u64),
+{
+    if bins == 0 {
+        return;
+    }
+    if lambda <= 0.0 {
+        f(0, bins);
+        return;
+    }
+    let reach = tail_reach(lambda);
+    let first = (lambda - reach).max(0.0) as u64;
+    let last = (lambda + reach) as u64;
+    let ln_pmf = first as f64 * lambda.ln() - lambda - ln_factorial(first);
+    split_counts(
+        bins,
+        first,
+        ln_pmf,
+        last,
+        |k| lambda / (k + 1) as f64,
+        rng,
+        f,
+    );
+}
+
+/// The conditional chain behind both count splits. It walks the counts
+/// `k = first..=last` of a pmf seeded at `ln_pmf = ln P[K = first]` and
+/// advanced by `P[K = k+1] = P[K = k] · ratio(k)`. Each `k` takes
+/// `split_binomial(rest, P[K = k] / P[K ≥ k])` of the remaining bins,
+/// and `last` takes whatever is left. `P[K < first]` is taken as zero.
+///
+/// The pmf is carried in log space until it surfaces above `1e-290`, so
+/// heavy counts do not underflow the seed to zero and dump every bin at
+/// `last`. While the pmf is still submerged no bin can land (the true
+/// mass there is below `1e-290` per bin), so those levels cost no draw.
+/// The `tail ≤ pmf` guard hands the rest to the current level once the
+/// float tail is spent.
+fn split_counts<R, F, G>(
+    bins: u64,
+    first: u64,
+    mut ln_pmf: f64,
+    last: u64,
+    ratio: G,
+    rng: &mut R,
+    mut f: F,
+) where
+    R: Rng64 + ?Sized,
+    F: FnMut(u64, u64),
+    G: Fn(u64) -> f64,
+{
     let mut pmf = ln_pmf.exp();
     let mut log_mode = pmf < 1e-290;
     let mut tail = 1.0f64; // P[K ≥ k]
     let mut rem = bins;
-    for k in 0..=trials {
+    for k in first..=last {
         if rem == 0 {
             break;
         }
-        let x = if k == trials || tail <= pmf {
+        let x = if k == last || tail <= pmf {
             rem
         } else if log_mode {
             0
@@ -723,7 +801,7 @@ where
             rem -= x;
         }
         tail = (tail - pmf).max(0.0);
-        let ratio = (trials - k) as f64 / (k + 1) as f64 * odds;
+        let ratio = ratio(k);
         if log_mode {
             ln_pmf += ratio.ln();
             pmf = ln_pmf.exp();
@@ -741,598 +819,265 @@ fn round_samples<R: Rng64 + ?Sized>(hits: u64, p: f64, rng: &mut R) -> u64 {
     crate::level_batched::stream_samples_for_hits_bounded(hits, p, SAMPLES_EXACT_CUTOFF, rng)
 }
 
-/// Guaranteed stopping level for the hazard walks over a `Bin(h, 1/c)`
-/// marginal: the true mass beyond `λ + 40√λ + 64` is below `e⁻³⁰⁰`, so
-/// parking the stragglers there is the same approximation the
-/// `tail < 1e-12` exhaustion break makes — but it triggers *surely*.
-/// The exhaustion break alone is fragile: float error in the seeded
-/// pmf floors the walked tail at the seed's relative error, and when
-/// that floor sits above the cutoff the stragglers ride `j` all the
-/// way to `h` — an O(h) walk plus an O(h) cells vector for the drift
-/// repair to crawl, which at `n = 2²⁷` turned sub-millisecond rounds
-/// into minutes.
+/// Distance from the mean `λ` beyond which a Poisson or `Bin(h, 1/c)`
+/// count lands with probability below `e⁻³⁰⁰`: `40√λ + 64`.
+fn tail_reach(lambda: f64) -> f64 {
+    40.0 * lambda.max(1.0).sqrt() + 64.0
+}
+
+/// Guaranteed stopping level for the hazard walk over a `Bin(h, 1/c)`
+/// marginal ([`draw_occupancy_cells`]): the true mass beyond
+/// `λ + tail_reach(λ)` is below `e⁻³⁰⁰`, so parking the stragglers there
+/// is the same approximation the `tail < 1e-12` exhaustion break makes —
+/// but it triggers *surely*. The exhaustion break alone is fragile:
+/// float error in the seeded pmf floors the walked tail at the seed's
+/// relative error, and when that floor sits above the cutoff the
+/// stragglers ride `j` all the way to `h` — an O(h) walk plus an O(h)
+/// cells vector for the drift repair to crawl, which at `n = 2²⁷` turned
+/// sub-millisecond rounds into minutes.
 fn park_level(c: u64, h: u64) -> u64 {
     let lambda = h as f64 / c as f64;
-    ((lambda + 40.0 * lambda.max(1.0).sqrt() + 64.0) as u64).min(h)
+    ((lambda + tail_reach(lambda)) as u64).min(h)
 }
 
-/// Scatters `h` uniform hits over one occupancy class of `c`
-/// exchangeable bins at load `l`, each with remaining capacity `cap`
-/// (`None` = unbounded), updating the histogram and returning the
-/// number of balls kept (the rest is overflow for the next round).
-fn scatter_class<R: Rng64 + ?Sized>(
-    hist: &mut OccupancyHistogram,
-    l: u32,
-    c: u64,
-    h: u64,
-    cap: Option<u32>,
-    hit_scratch: &mut Vec<u64>,
+/// Rounds with at most this many balls left are *small*: they draw
+/// their Poisson profile at mean `left` and repair it to exactly `left`
+/// hits, ≈ `0.8·√left` single moves (≈ 100 at the cutoff). Larger rounds
+/// take the slack rule instead ([`SLACK_SD`]), whose cost does not grow
+/// with `left`. Running the slack rule at every `left` raised
+/// `batch-sweep`'s `probe_p99` by 12–23 %: a slack round leaves about
+/// `√left` balls behind, so near the end of a segment more balls fall
+/// to the per-ball tail, whose geometric sample counts set the p99.
+const SMALL_ROUND: u64 = 1 << 14;
+
+/// A large round draws its profile at mean `left − SLACK_SD·√left`
+/// and redraws it while the total `N` exceeds `left` (probability
+/// ≈ 16 % at one standard deviation). The round then processes exactly
+/// the next `N` hits, no repair needed; the `left − N` balls it did not
+/// throw re-enter the next round with the overflow.
+const SLACK_SD: f64 = 1.0;
+
+/// One bin group of a [`poissonized_round`]: the bins of one histogram
+/// that are open under its bound, each hit at the group's rate.
+#[derive(Debug, Default)]
+struct RoundGroup {
+    /// Open classes `(load, bins)`, descending by load.
+    classes: Vec<(u32, u64)>,
+    /// Open bins.
+    open: u64,
+    /// Per-bin hit weight (0: the group is never hit).
+    weight: f64,
+    /// Sparse hit profile: `(j, open bins receiving exactly j hits)`,
+    /// ascending in `j`.
+    cells: Vec<(u64, u64)>,
+}
+
+impl RoundGroup {
+    /// The group's share of the round's hit rate: `open · weight`.
+    fn mass(&self) -> f64 {
+        self.open as f64 * self.weight
+    }
+
+    /// Moves one bin of profile cell `i` up one hit.
+    fn shift_up(&mut self, i: usize) {
+        let j = self.cells[i].0 + 1;
+        self.cells[i].1 -= 1;
+        match self.cells.get_mut(i + 1) {
+            Some(next) if next.0 == j => next.1 += 1,
+            _ => self.cells.insert(i + 1, (j, 1)),
+        }
+    }
+
+    /// Moves one bin of profile cell `i` down one hit.
+    fn shift_down(&mut self, i: usize) {
+        let j = self.cells[i].0 - 1;
+        self.cells[i].1 -= 1;
+        match i.checked_sub(1).map(|p| &mut self.cells[p]) {
+            Some(prev) if prev.0 == j => prev.1 += 1,
+            _ => self.cells.insert(i, (j, 1)),
+        }
+    }
+}
+
+/// Reusable buffers of [`poissonized_round`], one group per histogram,
+/// so a driver reuses the same allocations for its whole run.
+#[derive(Debug, Default)]
+pub(crate) struct RoundScratch {
+    groups: Vec<RoundGroup>,
+}
+
+/// Draws every open group's Poisson hit profile, each bin of group `g`
+/// at rate `rate · weight_g`; returns the total hits `N`.
+fn draw_profiles<R: Rng64 + ?Sized>(groups: &mut [RoundGroup], rate: f64, rng: &mut R) -> u64 {
+    let mut hits = 0u64;
+    for g in groups.iter_mut() {
+        g.cells.clear();
+        let cells = &mut g.cells;
+        split_poisson_counts(g.open, rate * g.weight, rng, |j, bins| {
+            cells.push((j, bins));
+            hits += j * bins;
+        });
+    }
+    hits
+}
+
+/// Moves a small round's profile from `hits` to exactly `left` hits.
+/// A missing hit goes to a uniform open bin (group ∝ open mass, then
+/// cell ∝ bins); an extra hit is a uniform ball taken away (cell ∝
+/// `j · bins`). Given its total, the Poisson profile is the profile of
+/// uniform hits, and adding or removing one uniform hit keeps that law,
+/// so the repaired profile is the profile of exactly `left` hits.
+fn repair_profiles<R: Rng64 + ?Sized>(
+    groups: &mut [RoundGroup],
+    mut hits: u64,
+    left: u64,
     rng: &mut R,
-) -> u64 {
-    debug_assert!(c > 0);
-    if h == 0 {
-        return 0;
-    }
-    let keep_of = |hits: u64| -> u64 { cap.map_or(hits, |q| hits.min(q as u64)) };
-    if c == 1 {
-        let keep = keep_of(h);
-        hist.promote(l, 1, keep as u32);
-        return keep;
-    }
-    if h <= EXACT_HITS {
-        // Exact per-hit collision walk: each hit lands on a specific
-        // already-hit bin w.p. 1/c, so indexing the hit bins 0.. and
-        // drawing a uniform in 0..c reproduces the multinomial exactly.
-        let hit_counts = hit_scratch;
-        hit_counts.clear();
-        for _ in 0..h {
-            let r = rng.range_u64(c);
-            if (r as usize) < hit_counts.len() {
-                hit_counts[r as usize] += 1;
-            } else {
-                hit_counts.push(1);
+) {
+    let mass: f64 = groups.iter().map(RoundGroup::mass).sum();
+    while hits < left {
+        let mut gi = 0;
+        if groups.len() > 1 {
+            let mut x = rng.next_f64() * mass;
+            for (i, g) in groups.iter().enumerate().filter(|(_, g)| g.mass() > 0.0) {
+                gi = i;
+                if x < g.mass() {
+                    break;
+                }
+                x -= g.mass();
             }
         }
-        // Group the promotes by jump size: most hit bins share a small
-        // keep count, and one grouped promote per distinct jump beats a
-        // per-bin promote on the hot path.
-        let mut kept = 0u64;
-        let mut jumps = [0u64; 8];
-        for &x in hit_counts.iter() {
-            let keep = keep_of(x);
-            kept += keep;
-            if keep > 0 && (keep as usize) < jumps.len() {
-                jumps[keep as usize] += 1;
-            } else if keep > 0 {
-                hist.promote(l, 1, keep as u32);
-            }
+        let g = &mut groups[gi];
+        let mut r = rng.range_u64(g.open);
+        let mut i = 0;
+        while r >= g.cells[i].1 {
+            r -= g.cells[i].1;
+            i += 1;
         }
-        for (jump, &bins) in jumps.iter().enumerate().skip(1) {
-            hist.promote(l, bins, jump as u32);
-        }
-        return kept;
+        g.shift_up(i);
+        hits += 1;
     }
-    if c <= EXACT_BINS {
-        // Exact multinomial as a chain of per-bin conditional binomials.
-        let mut rem_h = h;
-        let mut kept = 0u64;
-        let mut jumps = [0u64; 8];
-        for i in 0..c {
-            if rem_h == 0 {
-                break;
-            }
-            let rem_bins = c - i;
-            let x = if rem_bins == 1 {
-                rem_h
-            } else {
-                BinomialSampler::new(rem_h, 1.0 / rem_bins as f64).sample(rng)
-            };
-            rem_h -= x;
-            let keep = keep_of(x);
-            kept += keep;
-            if keep > 0 && (keep as usize) < jumps.len() {
-                jumps[keep as usize] += 1;
-            } else if keep > 0 {
-                hist.promote(l, 1, keep as u32);
+    while hits > left {
+        let mut r = rng.range_u64(hits);
+        'pick: for g in groups.iter_mut() {
+            for i in 0..g.cells.len() {
+                let (j, bins) = g.cells[i];
+                if r < j * bins {
+                    g.shift_down(i);
+                    break 'pick;
+                }
+                r -= j * bins;
             }
         }
-        for (jump, &bins) in jumps.iter().enumerate().skip(1) {
-            hist.promote(l, bins, jump as u32);
-        }
-        return kept;
+        hits -= 1;
     }
+}
 
-    if cap == Some(1) {
-        // Saturated top level: every hit bin keeps exactly one ball, so
-        // the scatter collapses to the *distinct-bin count* `D` —
-        // promote `D` bins one level, return `D` (this path only fires
-        // above the exact-path thresholds, where the distinct-count
-        // draw takes its moment-matched closed form; it is an order of
-        // magnitude cheaper than the cell walk on the hot top level
-        // where most hits land).
-        let d = distinct_hit_count(c, h, rng);
-        hist.promote(l, d, 1);
-        return d;
+/// One batched round of the histogram engines, by Poissonization. The
+/// round throws `left` balls at the bins open at round start: bin group
+/// `g` is `hists[g]`'s bins with load below `bounds[g]` (`None`: every
+/// bin), and each of its bins is hit with weight `weights[g]`. The
+/// uniform engine runs one group of weight 1, the weight-class engine
+/// one group per weight class. Returns `(hits, kept)`: the hits the
+/// round processed and the balls it kept. The rest, `left − kept`,
+/// re-enters the caller's next round: the overflow of bins that reached
+/// their bound, plus the balls a large round did not throw.
+///
+/// Every open bin draws an independent `Poisson(λ_g)` hit count, one
+/// conditional chain per group ([`split_poisson_counts`]), with
+/// `Σ λ_g · open_g` the round's mean. Given their total `N`, independent
+/// Poisson counts are exactly the counts of `N` independent hits, each
+/// landing on a bin with probability ∝ its weight — the product-measure
+/// ↔ fixed-size identity. A small round (`left ≤` [`SMALL_ROUND`])
+/// draws at mean `left` and repairs `N` to exactly `left`
+/// ([`repair_profiles`]); a large one draws at a slack mean
+/// ([`SLACK_SD`]) and redraws while `N > left`, then processes the
+/// next `N` hits. Each group then places its multiplicity groups on its
+/// occupancy classes with [`block_composition`] and promotes every share
+/// by `min(j, bound − load)`, which is exact under the caps.
+///
+/// The profile is exact except where [`split_binomial`] is
+/// moment-matched (variance above [`SPLIT_NORMAL_VAR`]); the placement
+/// is exact except where [`hypergeometric`] is (above [`PER_HIT_SPLIT`]
+/// draws). One open bin in all takes `min(left, cap)` at once, with no
+/// profile.
+pub(crate) fn poissonized_round<R: Rng64 + ?Sized>(
+    hists: &mut [OccupancyHistogram],
+    bounds: &[Option<u32>],
+    weights: &[f64],
+    left: u64,
+    scratch: &mut RoundScratch,
+    rng: &mut R,
+) -> (u64, u64) {
+    let groups = &mut scratch.groups;
+    groups.resize_with(hists.len(), RoundGroup::default);
+    for (g, (hist, (&t, &w))) in groups
+        .iter_mut()
+        .zip(hists.iter().zip(bounds.iter().zip(weights)))
+    {
+        g.classes.clear();
+        if w > 0.0 {
+            g.classes
+                .extend(hist.levels().take_while(|&(l, _)| t.is_none_or(|t| l < t)));
+            // Descending: under a bound the mass piles up just below
+            // it, and promotes only move bins upward, so a class still
+            // holds its snapshot count when its turn comes.
+            g.classes.reverse();
+        }
+        g.open = g.classes.iter().map(|&(_, c)| c).sum();
+        g.weight = w;
     }
-    // Occupancy-cell sampling. Each bin's hit count is marginally
-    // `Bin(h, 1/c)`; drawing cell `j` as `Binomial(c_rem, pmf_j/tail_j)`
-    // makes `(N_0, N_1, …)` an exact multinomial over that marginal —
-    // the occupancy of `c` *independent* `Bin(h, 1/c)` counts. The
-    // neglected negative correlation (the true counts sum to `h`
-    // exactly) appears as a small drift of `Σ j·N_j` around `h`; the
-    // repair below moves bins between *adjacent* cells at the
-    // distribution's mode, where a one-level shift is deep inside the
-    // bulk — truncating or padding the tail instead would visibly
-    // distort max-load statistics. Residual error is `O(1/c)` on second
-    // moments, and only this path (`c > 64`, `h > 64`) carries it.
-    let cells = hit_scratch;
-    cells.clear();
-    let mut c_rem = c;
-    let mut lump = 0u64; // capped classes: bins with ≥ q hits, keep q each
-                         // pmf of Bin(h, 1/c) at j, advanced by the recurrence
-                         // pmf(j+1) = pmf(j) · (h−j) / ((j+1)·(c−1)). The heavy regimes
-                         // start with pmf(0) = (1−1/c)^h in deep underflow, so the walk
-                         // carries the pmf in log space until it surfaces, then switches to
-                         // the two-flop linear recurrence for the bulk of the levels.
-                         // (1−1/c)^h is seeded through the log: powi's relative error grows
-                         // like h·ε, which past h ≈ 10⁸ can leave the walked tail floored
-                         // *above* the exhaustion cutoff so the break never fires.
-    let mut ln_pmf = h as f64 * (-1.0 / c as f64).ln_1p();
-    let mut pmf = ln_pmf.exp();
-    let mut log_mode = pmf < 1e-290;
-    let mut tail = 1.0f64; // P(X ≥ j)
-    let j_park = park_level(c, h);
-    while c_rem > 0 {
-        let j = cells.len() as u64;
-        if cap.is_some_and(|q| q as u64 == j) {
-            lump = c_rem;
-            break;
-        }
-        if j >= j_park || tail < 1e-12 {
-            // The walked tail mass is numerically exhausted; park the
-            // stragglers at the current level (the repair below keeps
-            // total mass exact).
-            cells.push(c_rem);
-            break;
-        }
-        let hazard = if tail <= pmf {
-            1.0
-        } else {
-            (pmf / tail).clamp(0.0, 1.0)
-        };
-        let nj = if hazard == 0.0 {
-            0
-        } else {
-            split_binomial(c_rem, hazard, rng)
-        };
-        cells.push(nj);
-        c_rem -= nj;
-        tail = (tail - pmf).max(0.0);
-        let num = (h - j) as f64;
-        let den = (j + 1) as f64 * (c - 1) as f64;
-        if log_mode {
-            ln_pmf += num.ln() - den.ln();
-            pmf = ln_pmf.exp();
-            log_mode = pmf < 1e-290;
-        } else {
-            pmf *= num / den;
-        }
-    }
-
-    let consumed = |cells: &[u64], lump: u64| -> u64 {
-        let q = cap.map_or(0, |q| q as u64);
-        cells
+    let open: u64 = groups.iter().map(|g| g.open).sum();
+    assert!(open > 0, "poissonized_round: no open bin");
+    if open == 1 {
+        let gi = groups
             .iter()
-            .enumerate()
-            .map(|(j, &nj)| j as u64 * nj)
-            .sum::<u64>()
-            + q * lump
-    };
-    // Repair target. Unbounded classes keep every ball, so the cells
-    // must consume exactly `h`. Capped classes keep
-    // `h − Σ_bins (X−q)⁺`; the cells only resolve hit counts up to the
-    // lump, so the overflow is estimated as `lump · E[(X−q)⁺ | X ≥ q]`
-    // from the same pmf recurrence (conditioning on the *drawn* lump
-    // keeps the estimate consistent: no capped bin ⇒ no overflow,
-    // surely). Repairing toward the target in *both* directions is what
-    // keeps the re-throw mass unbiased — clipping only the impossible
-    // `consumed > h` side would systematically inflate the overflow by
-    // the positive part of the drift, which showed up as a ~1% excess
-    // in allocation time before this estimate existed.
-    let target = match cap {
-        None => h,
-        Some(q) => {
-            if lump == 0 {
-                h // no bin reached the cap: every ball was kept, surely
-            } else {
-                // E[(X−q)⁺ | X ≥ q]: extend the recurrence past the cap
-                // (pure float work, no draws). `pmf`/`tail` sit at j = q
-                // when the lump branch exits the cell loop.
-                let lambda = h as f64 / c as f64;
-                let mut e_tail = 0.0f64;
-                let mut p = pmf;
-                let mut jj = q as u64;
-                while jj < h {
-                    let num = (h - jj) as f64;
-                    let den = (jj + 1) as f64 * (c - 1) as f64;
-                    p *= num / den;
-                    jj += 1;
-                    let term = (jj - q as u64) as f64 * p;
-                    e_tail += term;
-                    if jj as f64 > lambda && term < 1e-5 * (1.0 + e_tail) {
-                        break;
-                    }
-                }
-                let e_cond = if tail > 1e-12 { e_tail / tail } else { 0.0 };
-                let overflow_est = (lump as f64 * e_cond).round() as u64;
-                h - overflow_est.min(h)
+            .position(|g| g.open == 1)
+            .expect("one open bin");
+        let (l, _) = groups[gi].classes[0];
+        let keep = bounds[gi].map_or(left, |t| left.min(u64::from(t - l)));
+        hists[gi].promote(l, 1, u32::try_from(keep).expect("loads fit u32"));
+        return (left, keep);
+    }
+
+    let mass: f64 = groups.iter().map(RoundGroup::mass).sum();
+    let hits = if left <= SMALL_ROUND {
+        let hits = draw_profiles(groups, left as f64 / mass, rng);
+        repair_profiles(groups, hits, left, rng);
+        left
+    } else {
+        let mean = left as f64 - SLACK_SD * (left as f64).sqrt();
+        loop {
+            let hits = draw_profiles(groups, mean / mass, rng);
+            if hits <= left {
+                break hits;
             }
         }
     };
-    // A capped class can physically hold at most c·q (rescues the
-    // λ ≫ q corner where the pmf extension underflows).
-    let target = target.min(cap.map_or(u64::MAX, |q| c.saturating_mul(q as u64)));
-    // Repair the drift with single-level moves apportioned
-    // *proportionally* over the donor cells (a conditional-binomial
-    // chain, like the intake splits): every bin is equally likely to be
-    // the one nudged, so no cell — in particular not the N₀ cell, which
-    // the untouched-bin statistics read — absorbs the correction
-    // preferentially, and the expected cell counts stay at their exact
-    // marginals.
-    let mut d = consumed(cells, lump) as i128 - target as i128;
-    while d > 0 {
-        let lump_size = if cap.is_some() { lump } else { 0 };
-        let mut pool: u64 = cells[1..].iter().sum::<u64>() + lump_size;
-        debug_assert!(pool > 0, "occupancy repair: no donors above the target");
-        if pool == 0 {
-            break;
-        }
-        let mut want = (d as u128).min(pool as u128) as u64;
-        d -= want as i128;
-        if want <= 8 {
-            // The typical drift is a handful of balls: single moves with
-            // one uniform donor pick each (still ∝ cell sizes) beat the
-            // binomial-chain pass by an order of magnitude.
-            while want > 0 {
-                let mut r = rng.range_u64(pool);
-                let mut placed = false;
-                for i in 1..cells.len() {
-                    if r < cells[i] {
-                        cells[i] -= 1;
-                        cells[i - 1] += 1;
-                        placed = true;
-                        break;
-                    }
-                    r -= cells[i];
-                }
-                if !placed {
-                    debug_assert!(lump > 0);
-                    lump -= 1;
-                    let q = cap.expect("the lump donor exists only under a capped rule") as usize;
-                    if cells.len() < q {
-                        cells.resize(q, 0);
-                    }
-                    cells[q - 1] += 1;
-                }
-                pool -= 1;
-                want -= 1;
-            }
-            continue;
-        }
-        // Ascending apply is safe: cell i−1 has already donated before
-        // it receives from cell i.
-        for i in 1..cells.len() {
-            if want == 0 {
-                break;
-            }
-            let mi = if pool == cells[i] {
-                want
-            } else {
-                split_binomial(want, cells[i] as f64 / pool as f64, rng)
-            }
-            .min(cells[i]);
-            pool -= cells[i];
-            cells[i] -= mi;
-            cells[i - 1] += mi;
-            want -= mi;
-        }
-        if want > 0 && lump_size > 0 {
-            // The remainder was apportioned to the ≥q lump.
-            let q = cap.expect("a non-empty lump implies a capped rule") as usize;
-            let mi = want.min(lump);
-            lump -= mi;
-            if cells.len() < q {
-                cells.resize(q, 0);
-            }
-            cells[q - 1] += mi;
-            want -= mi;
-        }
-        if want > 0 {
-            // A pass can stall on clamped draws; finish the remainder
-            // from the fullest donor so the loop surely terminates.
-            if let Some(i) = (1..cells.len())
-                .filter(|&i| cells[i] > 0)
-                .max_by_key(|&i| cells[i])
-            {
-                let mi = want.min(cells[i]);
-                cells[i] -= mi;
-                cells[i - 1] += mi;
-                want -= mi;
-            }
-        }
-        d += want as i128; // anything unplaceable goes back into the deficit
-    }
-    while d < 0 {
-        let mut pool: u64 = cells.iter().sum();
-        if pool == 0 {
-            break; // everything already sits at the cap lump
-        }
-        let mut want = ((-d) as u128).min(pool as u128) as u64;
-        d += want as i128;
-        if want <= 8 {
-            // Single-move fast path, mirroring the down-move repair.
-            while want > 0 {
-                let mut r = rng.range_u64(pool);
-                for i in 0..cells.len() {
-                    if r < cells[i] {
-                        cells[i] -= 1;
-                        if cap.is_some_and(|q| i as u32 + 1 == q) {
-                            lump += 1;
-                        } else {
-                            if i + 1 == cells.len() {
-                                cells.push(0);
-                            }
-                            cells[i + 1] += 1;
-                        }
-                        break;
-                    }
-                    r -= cells[i];
-                }
-                pool -= 1;
-                want -= 1;
-            }
-            continue;
-        }
-        // Descending apply: cell i+1 has already donated before it
-        // receives from cell i. For capped classes the move out of cell
-        // q−1 lands in the ≥q lump (one more kept ball each, same as
-        // any other single-level move).
-        for i in (0..cells.len()).rev() {
-            if want == 0 {
-                break;
-            }
-            pool -= cells[i];
-            let mi = if pool == 0 {
-                want
-            } else {
-                split_binomial(want, cells[i] as f64 / (pool + cells[i]) as f64, rng)
-            }
-            .min(cells[i]);
-            if mi > 0 {
-                cells[i] -= mi;
-                if cap.is_some_and(|q| i as u32 + 1 == q) {
-                    lump += mi;
-                } else {
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                }
-                want -= mi;
-            }
-        }
-        if want > 0 {
-            // Stalled-pass fallback, mirroring the down-move repair.
-            if let Some(i) = (0..cells.len())
-                .filter(|&i| cells[i] > 0)
-                .max_by_key(|&i| cells[i])
-            {
-                let mi = want.min(cells[i]);
-                cells[i] -= mi;
-                if cap.is_some_and(|q| i as u32 + 1 == q) {
-                    lump += mi;
-                } else {
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                }
-                want -= mi;
-            }
-        }
-        d -= want as i128;
-    }
 
     let mut kept = 0u64;
-    for (j, &nj) in cells.iter().enumerate() {
-        kept += j as u64 * nj;
-        hist.promote(l, nj, j as u32);
-    }
-    if lump > 0 {
-        let q = cap.expect("promoted lump bins exist only under a capped rule");
-        kept += q as u64 * lump;
-        hist.promote(l, lump, q);
-    }
-    debug_assert!(kept <= h);
-    kept
-}
-
-/// One batched round: throws `thrown` balls uniformly over the bins
-/// open under `t` at round start, splitting the intake across occupancy
-/// classes with conditional binomials. Returns the number of balls kept
-/// (the overflow re-enters the caller's loop). Shared with the
-/// weight-class engine in [`crate::weighted`], which runs one such
-/// round per weight class.
-pub(crate) fn round_uniform<R: Rng64 + ?Sized>(
-    hist: &mut OccupancyHistogram,
-    t: Option<u32>,
-    thrown: u64,
-    scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
-    rng: &mut R,
-) -> u64 {
-    // Snapshot the open classes *descending* by load: the mass piles up
-    // just below the bound. (Descending is promote-safe: scatters only
-    // move bins upward, so a class's count still equals its snapshot
-    // when its turn comes.)
-    scratch.clear();
-    let mut k = 0u64;
-    let top = match t {
-        Some(t) => {
-            if t <= hist.base {
-                0
-            } else {
-                ((t - hist.base) as usize).min(hist.counts.len())
-            }
-        }
-        None => hist.counts.len(),
-    };
-    for i in (0..top).rev() {
-        let c = hist.counts[i];
-        if c > 0 {
-            scratch.push((hist.base + i as u32, c));
-            k += c;
-        }
-    }
-    debug_assert!(k > 0, "round_uniform: no open bin");
-
-    if thrown == 0 {
-        return 0;
-    }
-    // Small cases take the exact per-level route (chain of conditional
-    // binomials + scatter_class, which is fully exact below its own
-    // thresholds) — the global-occupancy fast path below only fires in
-    // the approximate regime it shares with the cell walk.
-    if k <= EXACT_BINS || thrown <= EXACT_HITS || scratch.len() == 1 {
-        let mut rem_hits = thrown;
-        let mut rem_bins = k;
-        let mut kept = 0u64;
-        for &(l, c) in scratch.iter() {
-            if rem_hits == 0 {
-                break;
-            }
-            let h = if rem_bins == c {
-                rem_hits
-            } else {
-                split_binomial(rem_hits, c as f64 / rem_bins as f64, rng)
-            };
-            rem_hits -= h;
-            rem_bins -= c;
-            let cap = t.map(|t| t - l);
-            kept += scatter_class(hist, l, c, h, cap, hit_scratch, rng);
-        }
-        return kept;
-    }
-
-    // Global-occupancy route: resolve the hit multiplicities once over
-    // the *whole* open set (`cells[j]` = bins receiving exactly `j`
-    // hits, drawn by the same hazard walk the per-level scatter uses),
-    // then place each multiplicity group across the levels with a
-    // without-replacement (hypergeometric) chain. Equivalent
-    // decomposition of the same multinomial, but the per-round cost
-    // drops from O(levels · cells) draws to O(levels + cells): with the
-    // adaptive lag distribution spanning ~log n levels this is the
-    // difference between the engine being level-bound and hit-bound.
-    let cells = hit_scratch;
-    draw_occupancy_cells(k, thrown, cells, rng);
-    let mut kept = 0u64;
-    // Remaining unassigned bins per level (parallel to `scratch`).
-    let mut rem_total = k;
-    // j descending so the small multiplicity groups (per-hit exact
-    // assignment) run first only if... order is irrelevant for the
-    // sequential conditioning; descending keeps the big j==1 group last
-    // so its chain sees the true remaining counts.
-    for j in (1..cells.len()).rev() {
-        let nj = cells[j];
-        if nj == 0 {
-            continue;
-        }
-        let keep_at = |cap: Option<u32>| -> u64 {
-            match cap {
-                None => j as u64,
-                Some(q) => (j as u64).min(q as u64),
-            }
-        };
-        if nj <= PER_HIT_SPLIT {
-            // Assign each multi-hit bin its level directly, without
-            // replacement (exact).
-            for _ in 0..nj {
-                let mut r = rng.range_u64(rem_total);
-                for &mut (l, ref mut c) in scratch.iter_mut() {
-                    if r < *c {
-                        let cap = t.map(|t| t - l);
-                        let keep = keep_at(cap) as u32;
-                        hist.promote(l, 1, keep);
-                        kept += keep as u64;
-                        *c -= 1;
-                        rem_total -= 1;
-                        break;
-                    }
-                    r -= *c;
-                }
-            }
-            continue;
-        }
-        // Hypergeometric chain over the levels: level i receives
-        // H_i ~ Hypergeom(rem_total, c_i, nj_rem), drawn as a
-        // rounded-normal with the exact mean and finite-population
-        // variance, clamped to the support (the same moment-exact
-        // approximation family as the cell walk; nj > PER_HIT_SPLIT
-        // keeps the normal regime honest).
-        let mut nj_rem = nj;
-        let mut pool = rem_total;
-        #[allow(clippy::needless_range_loop)] // scratch[idx] is mutated below
-        for idx in 0..scratch.len() {
-            if nj_rem == 0 {
-                break;
-            }
-            let (l, c) = scratch[idx];
-            if c == 0 {
+    for (g, (hist, &t)) in groups.iter_mut().zip(hists.iter_mut().zip(bounds)) {
+        let mut remaining = g.open;
+        for &(j, bins) in g.cells.iter().rev() {
+            if j == 0 || bins == 0 {
                 continue;
             }
-            let h_i = if pool == c {
-                nj_rem.min(c)
-            } else {
-                let f = c as f64 / pool as f64;
-                let mean = nj_rem as f64 * f;
-                let fpc = (pool - nj_rem) as f64 / (pool - 1).max(1) as f64;
-                let var = mean * (1.0 - f) * fpc;
-                let lo = nj_rem.saturating_sub(pool - c);
-                let hi = nj_rem.min(c);
-                if var < SPLIT_NORMAL_VAR {
-                    // Narrow split: an exact binomial draw (the
-                    // without-replacement correction is within the
-                    // clamp) keeps the randomness a rounded mean would
-                    // destroy — deterministic rounding here starves
-                    // low-count levels of promotions forever.
-                    split_binomial(nj_rem, f, rng).clamp(lo, hi)
-                } else {
-                    let draw = (mean + var.sqrt() * cheap_std_normal(rng)).round();
-                    ((draw.max(0.0)) as u64).clamp(lo, hi)
-                }
-            };
-            if h_i > 0 {
-                let cap = t.map(|t| t - l);
-                let keep = keep_at(cap) as u32;
-                hist.promote(l, h_i, keep);
-                kept += keep as u64 * h_i;
-                scratch[idx].1 -= h_i;
-                rem_total -= h_i;
-                nj_rem -= h_i;
-            }
-            pool -= c;
+            block_composition(&mut g.classes, remaining, bins, rng, |_, l, c| {
+                let keep = t.map_or(j, |t| j.min(u64::from(t - l)));
+                hist.promote(l, c, u32::try_from(keep).expect("loads fit u32"));
+                kept += keep * c;
+            });
+            remaining -= bins;
         }
-        debug_assert!(nj_rem == 0, "hypergeometric chain left bins unassigned");
     }
-    kept
+    (hits, kept)
 }
 
 /// Draws the occupancy pattern of `h` uniform hits over `k`
 /// exchangeable bins: `cells[j]` = number of bins receiving exactly `j`
-/// hits. The same hazard walk over the `Bin(h, 1/k)` marginal as the
-/// capped per-level scatter, with the drift of `Σ j·cells[j]` repaired
-/// toward exactly `h` by proportional single-level moves (no caps here:
-/// capping happens level-wise in the caller).
+/// hits. A hazard walk over the `Bin(h, 1/k)` marginal, with the drift
+/// of `Σ j·cells[j]` repaired toward exactly `h` by proportional
+/// single-level moves — the parallel round engines' profile, which must
+/// hold exactly `h` contacts (see [`occupancy_profile`]).
 fn draw_occupancy_cells<R: Rng64 + ?Sized>(k: u64, h: u64, cells: &mut Vec<u64>, rng: &mut R) {
     cells.clear();
     let mut c_rem = k;
@@ -1484,11 +1229,12 @@ fn draw_occupancy_cells<R: Rng64 + ?Sized>(k: u64, h: u64, cells: &mut Vec<u64>,
 /// exactly `j` throws (`Σ cells[j] = bins`, `Σ j·cells[j] = hits`,
 /// surely).
 ///
-/// This is the multiplicity-profile primitive of the engines that batch
-/// a whole round of uniform contacts at once — the sequential histogram
-/// engine's global-occupancy route and the parallel round-occupancy
-/// engine (collision / bounded-load / parallel-greedy), which resolves
-/// acceptance per multiplicity class instead of per contact.
+/// This is the multiplicity-profile primitive of the parallel
+/// round-occupancy engines (collision / bounded-load / parallel-greedy),
+/// which resolve acceptance per multiplicity class instead of per
+/// contact. They make exactly one contact per unplaced ball, so the
+/// contact count is fixed and the histogram engines' Poissonized round
+/// (`poissonized_round`, whose hit count is random) does not fit.
 ///
 /// Exactness regimes: `hits ≤ 64` runs the exact per-hit collision walk
 /// (each throw lands on an already-hit bin with probability
@@ -1555,9 +1301,8 @@ pub fn occupancy_profile<R: Rng64 + ?Sized>(
 /// Var[D] = bins·(q1−q2) + bins²·(q2−q1²)
 /// ```
 ///
-/// clamped to the sure support `[1, min(bins, hits)]`. The saturated
-/// top level of [`scatter_class`] and the bounded-load round engine's
-/// accepting-bin count both reduce to this draw.
+/// clamped to the sure support `[1, min(bins, hits)]`. The bounded-load
+/// round engine's accepting-bin count is this draw.
 pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) -> u64 {
     if hits == 0 || bins == 0 {
         return 0;
@@ -1592,9 +1337,9 @@ pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) 
 /// Exact sequential draw for `draws ≤ 8` (one uniform pick per draw);
 /// above that an exact binomial clamped to the support while the
 /// finite-population variance stays below the normal switch, and a
-/// rounded normal with the exact mean and variance beyond — the same
-/// moment-matched family as the engines' level chains, which use this
-/// to spread a multiplicity group over occupancy classes.
+/// rounded normal with the exact mean and variance beyond. The rounds
+/// use this, through [`block_composition`], to spread a multiplicity
+/// group over the occupancy classes.
 pub fn hypergeometric<R: Rng64 + ?Sized>(total: u64, marked: u64, draws: u64, rng: &mut R) -> u64 {
     assert!(
         marked <= total && draws <= total,
@@ -1706,7 +1451,7 @@ pub fn place_histogram_below<R: Rng64 + ?Sized>(
     count: u64,
     rng: &mut R,
 ) -> BatchStats {
-    place_histogram_below_with(hist, t, count, &mut Vec::new(), &mut Vec::new(), rng)
+    place_histogram_below_with(hist, t, count, &mut RoundScratch::default(), rng)
 }
 
 /// [`place_histogram_below`] with caller-owned scratch buffers, so a
@@ -1716,8 +1461,7 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     t: Option<u32>,
     count: u64,
-    scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
+    round: &mut RoundScratch,
     rng: &mut R,
 ) -> BatchStats {
     if count == 0 {
@@ -1744,8 +1488,9 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
     let mut samples = 0u64;
     while left >= ROUND_CUTOFF {
         let k = hist.open_bins(t);
-        samples += round_samples(left, k as f64 / n as f64, rng);
-        let kept = round_uniform(hist, t, left, scratch, hit_scratch, rng);
+        let (hits, kept) =
+            poissonized_round(std::slice::from_mut(hist), &[t], &[1.0], left, round, rng);
+        samples += round_samples(hits, k as f64 / n as f64, rng);
         debug_assert!(kept > 0, "a round with open capacity must place something");
         if kept == 0 {
             break; // defensive: the exact tail below is always correct
@@ -2047,8 +1792,7 @@ where
     let perm = want_stages.then(|| random_permutation(cfg.n, &mut SplitMix64::new(recon_seed)));
     let mut total_samples = 0u64;
     let mut max_samples = 0u64;
-    let mut scratch: Vec<(u32, u64)> = Vec::new();
-    let mut hit_scratch: Vec<u64> = Vec::new();
+    let mut round = RoundScratch::default();
     let mut ball = 1u64;
     while ball <= cfg.m {
         let seg = schedule.histogram_segment(cfg, ball);
@@ -2060,7 +1804,7 @@ where
         let count = end - ball + 1;
         let stats = match seg.rule {
             LandingRule::UniformBelow(t) => {
-                place_histogram_below_with(&mut hist, t, count, &mut scratch, &mut hit_scratch, rng)
+                place_histogram_below_with(&mut hist, t, count, &mut round, rng)
             }
             LandingRule::LeastOfD(d) => place_least_of_d(&mut hist, d, count, rng),
         };
@@ -2098,6 +1842,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::NullObserver;
+    use crate::protocols::{OneChoice, Threshold};
     use bib_rng::SplitMix64;
 
     fn total_balls(h: &OccupancyHistogram) -> u64 {
@@ -2264,54 +2010,248 @@ mod tests {
         assert_promotes_agree(&OccupancyHistogram::from_loads(&[1_000]), 5, |_| 0);
     }
 
+    /// Bin groups of a test round: `(classes as (load, bins), bound,
+    /// weight)`.
+    type Groups<'a> = [(&'a [(u32, u64)], Option<u32>, f64)];
+
+    /// One round of `left` balls on fresh histograms of `groups`,
+    /// checking the sure invariants: bins and mass conserved, no open
+    /// bin pushed past its bound, `kept ≤ hits ≤ left`, and exactly
+    /// `left` hits in a small round. Returns `(hits, kept)`.
+    fn checked_round(groups: &Groups, left: u64, rng: &mut SplitMix64) -> (u64, u64) {
+        let mut hists: Vec<_> = groups
+            .iter()
+            .map(|g| {
+                OccupancyHistogram::from_loads(
+                    &g.0.iter()
+                        .flat_map(|&(l, c)| vec![l; c as usize])
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let bounds: Vec<_> = groups.iter().map(|g| g.1).collect();
+        let weights: Vec<_> = groups.iter().map(|g| g.2).collect();
+        let mass =
+            |hists: &[OccupancyHistogram]| hists.iter().map(|h| h.total_balls()).sum::<u64>();
+        let before = mass(&hists);
+        let (hits, kept) = poissonized_round(
+            &mut hists,
+            &bounds,
+            &weights,
+            left,
+            &mut RoundScratch::default(),
+            rng,
+        );
+        assert!(
+            kept <= hits && hits <= left,
+            "kept {kept}, hits {hits}, left {left}"
+        );
+        assert!(
+            left > SMALL_ROUND || hits == left,
+            "a small round throws every ball"
+        );
+        assert_eq!(mass(&hists), before + kept);
+        for (h, &(classes, t, _)) in hists.iter().zip(groups) {
+            h.check_invariants();
+            let top = classes.iter().map(|c| c.0).max().unwrap_or(0);
+            assert!(
+                t.is_none_or(|t| h.max_load() <= t.max(top)),
+                "bound exceeded"
+            );
+        }
+        (hits, kept)
+    }
+
+    /// The kept counts of `rounds` calls of [`checked_round`], and their
+    /// mean.
+    fn kept_moments(groups: &Groups, left: u64, rounds: usize, seed: u64) -> (f64, Vec<f64>) {
+        let mut rng = SplitMix64::new(seed);
+        let kept: Vec<f64> = (0..rounds)
+            .map(|_| checked_round(groups, left, &mut rng).1 as f64)
+            .collect();
+        (kept.iter().sum::<f64>() / rounds as f64, kept)
+    }
+
     #[test]
-    fn scatter_conserves_mass_in_every_path() {
-        // (c, h) pairs chosen to hit: single bin, per-hit, per-bin
-        // chain, and the hazard walk.
-        for (c, h, cap) in [
-            (1u64, 1000u64, Some(7u32)),
-            (100, 50, Some(3)),
-            (50, 5000, Some(4)),
-            (1000, 5000, Some(2)),
-            (1000, 5000, None),
-            (300, 100_000, Some(400)),
-        ] {
-            let mut hist = OccupancyHistogram::new(c as usize);
-            let mut rng = SplitMix64::new(c ^ h);
-            let kept = scatter_class(&mut hist, 0, c, h, cap, &mut Vec::new(), &mut rng);
-            hist.check_invariants();
-            assert!(kept <= h, "c={c} h={h}: kept {kept} > thrown {h}");
-            assert!(kept >= 1);
-            assert_eq!(total_balls(&hist), kept, "c={c} h={h}");
-            if let Some(q) = cap {
-                assert!(hist.max_load() <= q, "c={c} h={h}: cap violated");
-                assert!(kept <= c * q as u64);
-            } else {
-                assert_eq!(kept, h, "unbounded scatter must keep everything");
+    fn round_mean_kept_matches_exact_law() {
+        // One-sample test, 20 000 small rounds per case, of the mean
+        // kept count against Σ_bins E[min(Bin(h, w/W), t − load)].
+        let cases: [(&Groups, u64); 7] = [
+            (&[(&[(0, 106), (1, 100), (2, 50)], Some(3), 1.0)], 200),
+            (&[(&[(0, 500), (1, 500)], Some(2), 1.0)], 400),
+            (&[(&[(0, 56), (1, 200)], Some(3), 1.0)], 300),
+            (&[(&[(0, 256)], Some(2), 1.0)], 256),
+            // ≤ 64 open bins, an unreached class and a closed one.
+            (&[(&[(0, 20), (1, 30), (3, 10), (5, 4)], Some(5), 1.0)], 150),
+            // One open bin among closed ones keeps min(h, cap).
+            (&[(&[(0, 1), (3, 50)], Some(3), 1.0)], 40),
+            // Two weight classes, one unbounded.
+            (
+                &[
+                    (&[(0, 40), (1, 20)], Some(2), 1.0),
+                    (&[(2, 10), (4, 5)], None, 3.0),
+                ],
+                120,
+            ),
+        ];
+        for (case, &(groups, h)) in cases.iter().enumerate() {
+            let open: Vec<Vec<(u32, u64)>> = groups
+                .iter()
+                .map(|&(cls, t, _)| {
+                    cls.iter()
+                        .copied()
+                        .filter(|c| t.is_none_or(|t| c.0 < t))
+                        .collect()
+                })
+                .collect();
+            let mass: f64 = groups
+                .iter()
+                .zip(&open)
+                .map(|(g, o)| o.iter().map(|c| c.1).sum::<u64>() as f64 * g.2)
+                .sum();
+            let mut exact = 0.0;
+            for (&(_, t, w), o) in groups.iter().zip(&open) {
+                for &(l, c) in o {
+                    let cap = t.map_or(h, |t| u64::from(t - l));
+                    // E[min(Bin(h, p), cap)] by the pmf recurrence.
+                    let p = w / mass;
+                    if p == 1.0 {
+                        exact += h.min(cap) as f64; // the one open bin
+                        continue;
+                    }
+                    let mut pmf = (1.0 - p).powf(h as f64);
+                    let mut e = cap as f64;
+                    for x in 0..cap.min(h + 1) {
+                        e -= (cap - x) as f64 * pmf;
+                        pmf *= (h - x) as f64 / (x + 1) as f64 * p / (1.0 - p);
+                    }
+                    exact += c as f64 * e;
+                }
             }
+            let rounds = 20_000;
+            let (mean, kept) = kept_moments(groups, h, rounds, 0x5eed ^ case as u64);
+            let var = kept.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / (rounds - 1) as f64;
+            let se = (var / rounds as f64).sqrt();
+            assert!(
+                (mean - exact).abs() <= 4.0 * se + 1e-9,
+                "case {case}: mean kept {mean:.3} vs exact {exact:.3} (se {se:.4})"
+            );
         }
     }
 
     #[test]
-    fn scatter_hazard_mean_matches_exact_path() {
-        // Number of untouched bins after h hits on c bins: the hazard
-        // walk's level-0 count must agree in mean with the exact
-        // per-bin chain, c·(1−1/c)^h.
-        let (c, h) = (500u64, 800u64);
-        let reps = 600;
-        let expect = c as f64 * (1.0 - 1.0 / c as f64).powi(h as i32);
-        let mut rng = SplitMix64::new(9);
-        let mut mean = 0.0;
-        for _ in 0..reps {
-            let mut hist = OccupancyHistogram::new(c as usize);
-            scatter_class(&mut hist, 0, c, h, None, &mut Vec::new(), &mut rng);
-            mean += hist.count(0) as f64 / reps as f64;
+    fn round_spread_matches_exact_law() {
+        // {0: 256}, t = 2, h = 256: kept = Σ_i g(X_i) with g(x) =
+        // min(x, 2) over the multinomial occupancy, so Var kept =
+        // k·Var g(X₁) + k(k−1)·Cov(g(X₁), g(X₂)), the pair law summed in
+        // closed form.
+        let (k, h) = (256u64, 256usize);
+        let lf: Vec<f64> = (0..=h)
+            .scan(0.0, |acc, i| {
+                *acc += (i.max(1) as f64).ln();
+                Some(*acc)
+            })
+            .collect();
+        let p = 1.0 / k as f64;
+        let pair = |a: usize, b: usize| {
+            let rest = h - a - b;
+            (lf[h] - lf[a] - lf[b] - lf[rest]
+                + (a + b) as f64 * p.ln()
+                + rest as f64 * (1.0 - 2.0 * p).ln())
+            .exp()
+        };
+        let g = |x: usize| x.min(2) as f64;
+        let (mut e1, mut e11, mut e12) = (0.0, 0.0, 0.0);
+        for a in 1..=h {
+            let pa: f64 = (0..=h - a).map(|b| pair(a, b)).sum();
+            e1 += g(a) * pa;
+            e11 += g(a) * g(a) * pa;
+            e12 += (1..=h - a).map(|b| g(a) * g(b) * pair(a, b)).sum::<f64>();
         }
-        // sd of the estimator ≈ √(c·p(1−p)/reps) ≈ 0.4
+        let kf = k as f64;
+        let exact = kf * (e11 - e1 * e1) + kf * (kf - 1.0) * (e12 - e1 * e1);
+        let rounds = 20_000;
+        let (mean, kept) = kept_moments(&[(&[(0, k)], Some(2), 1.0)], k, rounds, 0x5b7ead);
+        let moment = |q: i32| kept.iter().map(|x| (x - mean).powi(q)).sum::<f64>() / rounds as f64;
+        let var = moment(2);
+        let se = ((moment(4) - var * var) / rounds as f64).sqrt();
         assert!(
-            (mean - expect).abs() < 2.5,
-            "untouched-bin mean {mean} vs {expect}"
+            (var - exact).abs() <= 4.0 * se,
+            "variance of kept {var:.3} vs exact {exact:.3} (se {se:.3})"
         );
+    }
+
+    #[test]
+    fn round_conserves_mass_and_caps_in_both_regimes() {
+        let mut rng = SplitMix64::new(0x1a57);
+        let multi: &[(u32, u64)] = &[(0, 900), (1, 700), (2, 400), (4, 10)];
+        let two: &[(u32, u64)] = &[(0, 300), (1, 50)];
+        for left in [ROUND_CUTOFF, 5_000, SMALL_ROUND, SMALL_ROUND + 1, 3_000_000] {
+            checked_round(&[(multi, Some(3), 1.0)], left.min(5_000), &mut rng);
+            checked_round(
+                &[(two, Some(2), 1.0), (&[(0, 40)], Some(9), 4.0)],
+                left.min(1_000),
+                &mut rng,
+            );
+            // Unbounded: every processed hit is kept.
+            let (hits, kept) = checked_round(&[(multi, None, 1.0)], left, &mut rng);
+            assert_eq!(hits, kept);
+            let (hits, kept) =
+                checked_round(&[(two, None, 1.0), (&[(0, 40)], None, 4.0)], left, &mut rng);
+            assert_eq!(hits, kept);
+        }
+        // Just above the cutoff a round draws at left − √left and
+        // redraws while N > left (P ≈ 16 % per draw): over 64 rounds
+        // `checked_round` sees redraws, and some slack left behind.
+        let left = SMALL_ROUND + 1;
+        let slack: u64 = (0..64)
+            .map(|_| left - checked_round(&[(multi, None, 1.0)], left, &mut rng).0)
+            .sum();
+        assert!(slack > 0, "a large round leaves slack behind");
+        // Kept never exceeds the room below the bound.
+        assert!(checked_round(&[(&[(0, 2_000)], Some(3), 1.0)], 10_000, &mut rng).1 <= 6_000);
+        // n = 1 and one open bin among closed ones take min(left, cap)
+        // with no profile, even for an intake near the u32 range; two
+        // bins walk O(√λ) profile levels, not `left`.
+        let huge = 3_000_000_000u64;
+        for (groups, left, want) in [
+            (&[(&[(0, 1)][..], Some(1_000), 1.0)], 5_000, (5_000, 1_000)),
+            (&[(&[(0, 1)][..], None, 1.0)], huge, (huge, huge)),
+            (&[(&[(0, 1), (3, 50)][..], Some(3), 1.0)], 40, (40, 3)),
+        ] {
+            assert_eq!(checked_round(groups, left, &mut rng), want);
+        }
+        let (hits, kept) = checked_round(&[(&[(0, 2)], None, 1.0)], 100_000_000, &mut rng);
+        assert_eq!(hits, kept);
+    }
+
+    #[test]
+    fn returned_histogram_has_no_empty_edge_levels() {
+        // Heavy runs slide the live span far from load 0; the lazy
+        // outcome keeps only the live span, with no spare capacity.
+        let cfg = RunConfig::new(500, 200_000);
+        for out in [
+            drive_histogram(
+                "t".into(),
+                &cfg,
+                &mut SplitMix64::new(2),
+                &mut NullObserver,
+                &Threshold,
+            ),
+            drive_histogram(
+                "o".into(),
+                &cfg,
+                &mut SplitMix64::new(2),
+                &mut NullObserver,
+                &OneChoice,
+            ),
+        ] {
+            let counts = &out.loads.histogram().counts;
+            assert_ne!(counts.first(), Some(&0), "empty low edge");
+            assert_ne!(counts.last(), Some(&0), "empty high edge");
+            assert_eq!(counts.capacity(), counts.len(), "spare capacity kept");
+            assert_eq!(out.loads.histogram().total_balls(), cfg.m);
+        }
     }
 
     #[test]
@@ -2453,8 +2393,8 @@ mod tests {
             let consumed: u64 = cells.iter().enumerate().map(|(j, &c)| j as u64 * c).sum();
             assert_eq!(consumed, 1 << 27);
         }
-        // The capped scatter path at the same scale: one class, all of
-        // stage 3's intake, threshold 4 — the exact shape that stalled.
+        // A whole capped placement at the same scale: one class, n
+        // balls under bound 2 — the shape that stalled the old scatter.
         let mut hist = OccupancyHistogram::new(1 << 27);
         let mut rng = SplitMix64::new(7);
         let n = 1u64 << 27;

@@ -62,8 +62,11 @@ impl Loads {
     }
 
     /// A virtual load vector: the histogram is the result; `seed`
-    /// determines the (lazy, cached) dense reconstruction.
-    pub fn from_histogram(hist: OccupancyHistogram, seed: u64) -> Self {
+    /// determines the (lazy, cached) dense reconstruction. The histogram
+    /// is trimmed to its live span first, since the value may outlive
+    /// the run by far.
+    pub fn from_histogram(mut hist: OccupancyHistogram, seed: u64) -> Self {
+        hist.trim();
         Self {
             n: hist.n() as usize,
             recon: Some((hist, seed)),

@@ -36,16 +36,16 @@
 //! * [`drive_weighted_histogram`] — the weight-class histogram engine
 //!   (engine `Histogram`): bins are grouped into
 //!   [`WeightClasses`]; each class keeps its own
-//!   [`OccupancyHistogram`]; a segment's intake splits across classes
-//!   with conditional binomials weighted by *open class mass*
-//!   (`k_c·w_c/W`), lands within a class through the same occupancy
-//!   scatter rounds as the uniform engine, and the last few balls run
-//!   an exact per-class collapsed tail. Per-class integer bounds are
-//!   derived from the same float acceptance limit the faithful driver
-//!   compares against ([`strict_int_bound`]), so the two drivers make
-//!   identical accept/reject decisions on every (bin, ball, load)
-//!   triple; the chi-square suite in `tests/weighted_equivalence.rs`
-//!   bounds the residual (scatter-approximation) error.
+//!   [`OccupancyHistogram`]; a segment's intake lands in the uniform
+//!   engine's Poissonized rounds (`histogram::poissonized_round`) with one bin
+//!   group per class, each open bin of class `c` hit `∝ w_c`, and the
+//!   last few balls run an exact per-class collapsed tail. Per-class integer
+//!   bounds are derived from the same float acceptance limit the
+//!   faithful driver compares against ([`strict_int_bound`]), so the two
+//!   drivers make identical accept/reject decisions on every (bin, ball,
+//!   load) triple; the round's two moment-matched draws are the only
+//!   approximation, which the chi-square suite and the mean-`T` z-test
+//!   in `tests/weighted_equivalence.rs` bound.
 //!
 //! `Engine::Auto` resolves weighted cells through
 //! [`Engine::auto_weighted`]. When the number of *distinct* weights
@@ -57,7 +57,7 @@
 //!
 //! [`Scenario::weighted`]: crate::scenario::Scenario::weighted
 
-use crate::histogram::{random_permutation, round_uniform, OccupancyHistogram};
+use crate::histogram::{poissonized_round, random_permutation, OccupancyHistogram, RoundScratch};
 use crate::level_batched::stream_samples_for_hits_bounded;
 use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Scenario, WeightedSchedule};
@@ -482,10 +482,10 @@ where
 
 /// Runs a whole weighted allocation under the weight-class histogram
 /// engine: every class keeps its own [`OccupancyHistogram`]; segment
-/// intakes split over classes by *open class mass* with conditional
-/// binomials and land within each class through the uniform engine's
-/// occupancy scatter rounds; the last [`ROUND_CUTOFF`] balls of each
-/// segment run the exact collapsed per-class chain. Bin identities are
+/// intakes land in Poissonized rounds over all classes' open bins, each
+/// hit ∝ its class weight (`histogram::poissonized_round`); the last
+/// [`ROUND_CUTOFF`] balls of each segment run the exact collapsed
+/// per-class chain. Bin identities are
 /// synthetic within a class (one seeded permutation per class), exactly
 /// as in the uniform histogram engine. `Observer::on_ball` never fires;
 /// stage traces fire when wanted.
@@ -534,8 +534,7 @@ where
     let want_stages = obs.wants_stage_ends();
     let mut total_samples = 0u64;
     let mut max_samples = 0u64;
-    let mut scratch: Vec<(u32, u64)> = Vec::new();
-    let mut hit_scratch: Vec<u64> = Vec::new();
+    let mut round = RoundScratch::default();
     let mut bounds: Vec<Option<u32>> = vec![None; k];
     let mut ball = 1u64;
     while ball <= m {
@@ -559,15 +558,7 @@ where
             end = end.min(((ball - 1) / n64 + 1) * n64);
         }
         let count = end - ball + 1;
-        let stats = place_weighted_segment(
-            &mut hists,
-            &shares,
-            &bounds,
-            count,
-            &mut scratch,
-            &mut hit_scratch,
-            rng,
-        );
+        let stats = place_weighted_segment(&mut hists, &shares, &bounds, count, &mut round, rng);
         total_samples += stats.0;
         max_samples = max_samples.max(stats.1);
         if want_stages && end.is_multiple_of(n64) {
@@ -603,8 +594,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
     shares: &[f64],
     bounds: &[Option<u32>],
     count: u64,
-    scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
+    round: &mut RoundScratch,
     rng: &mut R,
 ) -> (u64, u64) {
     if count == 0 {
@@ -646,45 +636,17 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
 
     let mut left = count;
     let mut samples = 0u64;
-    let mut masses = vec![0.0f64; k];
     while left >= ROUND_CUTOFF {
-        for (c, mass) in masses.iter_mut().enumerate() {
-            *mass = open_mass(hists, c);
-        }
-        let p: f64 = masses.iter().sum();
+        let p: f64 = (0..k).map(|c| open_mass(hists, c)).sum();
         debug_assert!(p > 0.0, "weighted round: no open mass");
+        // One Poissonized round over every class's open bins, each hit
+        // ∝ its class weight.
+        let (hits, kept) = poissonized_round(hists, bounds, shares, left, round, rng);
         samples += if unbounded_only {
-            left
+            hits
         } else {
-            stream_samples_for_hits_bounded(left, p.min(1.0), SAMPLES_EXACT_CUTOFF, rng)
+            stream_samples_for_hits_bounded(hits, p.min(1.0), SAMPLES_EXACT_CUTOFF, rng)
         };
-        // Split the round's hits over the open classes (conditional
-        // binomial chain over open mass; the last open class surely
-        // absorbs the remainder), then scatter within each class
-        // through the uniform occupancy machinery.
-        let open: Vec<usize> = (0..k).filter(|&c| masses[c] > 0.0).collect();
-        let mut rem_hits = left;
-        let mut rem_mass = p;
-        let mut kept = 0u64;
-        for (i, &c) in open.iter().enumerate() {
-            if rem_hits == 0 {
-                break;
-            }
-            let h = if i + 1 == open.len() {
-                rem_hits
-            } else {
-                crate::histogram::split_binomial(
-                    rem_hits,
-                    (masses[c] / rem_mass).clamp(0.0, 1.0),
-                    rng,
-                )
-            };
-            rem_hits -= h;
-            rem_mass -= masses[c];
-            if h > 0 {
-                kept += round_uniform(&mut hists[c], bounds[c], h, scratch, hit_scratch, rng);
-            }
-        }
         debug_assert!(kept > 0, "a weighted round with open capacity must place");
         if kept == 0 {
             break; // defensive: the exact tail below is always correct
@@ -696,9 +658,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
     // ROUND_CUTOFF balls run here per segment, so per-ball mass
     // recomputation after a bin closes costs nothing.
     let mut max_samples = u64::from(count > left);
-    for (c, mass) in masses.iter_mut().enumerate() {
-        *mass = open_mass(hists, c);
-    }
+    let mut masses: Vec<f64> = (0..k).map(|c| open_mass(hists, c)).collect();
     let mut p: f64 = masses.iter().sum();
     let mut geo: Option<(u64, GeometricSampler)> = None;
     while left > 0 {

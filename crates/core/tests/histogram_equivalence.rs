@@ -4,18 +4,18 @@
 //! the same distribution on final load vectors as `Engine::Faithful`
 //! for every protocol it accepts — `threshold` (and slack variants),
 //! `adaptive` (and its batched/tight variants), `one-choice` and
-//! `greedy[d]` — with the large-class occupancy splits being
-//! moment-exact approximations whose error these tests bound. Checked
-//! four ways:
+//! `greedy[d]` — with the rounds' two moment-matched draws (the profile
+//! chain's binomial, the class hypergeometric) being approximations
+//! whose error these tests bound. Checked four ways:
 //!
 //! * exact small cases — `n = 1` (deterministic), the degenerate
 //!   stages of `adaptive-tight` (deterministic), and sure invariants
-//!   (mass, the `⌈m/n⌉+1` bound) across sizes including ones that
-//!   engage every scatter path;
+//!   (mass, the `⌈m/n⌉+1` bound) across sizes that engage the per-ball
+//!   tail and both round regimes;
 //! * two-sample chi-square tests on final-load functionals between
 //!   faithful and histogram replicate ensembles, at small sizes (where
 //!   the engine is exact) *and* at sizes that exercise the
-//!   normal-approximated splits and the occupancy-cell walk;
+//!   normal-approximated splits of the Poissonized rounds;
 //! * allocation-time tracking against the faithful engine's exact
 //!   accounting;
 //! * `Engine::Auto` resolution: deterministic, valid, and identical to
@@ -136,9 +136,9 @@ fn degenerate_tight_stages_are_exact() {
 
 #[test]
 fn invariants_hold_across_sizes_and_protocols() {
-    // Sure properties on every run, at sizes spanning the exact per-bin
-    // chain (n ≤ 64), the per-hit walk, and the occupancy-cell walk
-    // with normal-approximated splits (n = 512, m ≫ n).
+    // Sure properties on every run, at sizes spanning the per-ball tail
+    // (m < 32), small rounds, and rounds with normal-approximated
+    // splits (n = 512, m ≫ n).
     use bib_core::batched::BatchedAdaptive;
     use bib_core::protocols::ThresholdSlack;
     for n in [1usize, 2, 8, 64, 512] {
@@ -171,8 +171,8 @@ fn invariants_hold_across_sizes_and_protocols() {
 
 #[test]
 fn chi_square_bin0_load_small_cases() {
-    // Tiny runs: every scatter path is exact here, so these pin the
-    // collapsed chain itself (class selection, tail, reconstruction).
+    // Tiny runs: m < 32 runs only the exact per-ball tail, so these pin
+    // the collapsed chain itself (class selection, tail, reconstruction).
     let (a, b) = engine_histograms(&Threshold, 2, 4, 4000, 4, |o| o.loads[0] as usize);
     let p = two_sample_p(&a, &b);
     assert!(
@@ -226,9 +226,9 @@ fn chi_square_heavy_load_regime() {
 
 #[test]
 fn chi_square_occupancy_walk_regime() {
-    // n = 256: classes are large enough that the occupancy-cell walk
-    // and the rounded-normal split draws carry the run — the paths
-    // whose approximation error these ensembles bound.
+    // n = 256: classes are large enough that the rounds' rounded-normal
+    // split draws carry the run — the paths whose approximation error
+    // these ensembles bound.
     let (a, b) = engine_histograms(&Threshold, 256, 256 * 64, 600, 10, |o| o.gap() as usize);
     let p = two_sample_p(&a, &b);
     assert!(p > 1e-4, "threshold n=256 heavy gap: p={p}\n{a:?}\n{b:?}");

@@ -228,8 +228,9 @@ const BINOMIAL_INVERSION_MEAN: f64 = 32.0;
 /// `ln(k!)`: direct log-sum below 10 (a cold path — the mode-centred
 /// sampler only fires with mean > 32, where every argument is ≥ 32),
 /// Stirling series (three correction terms, relative error < 1e-13 for
-/// k ≥ 10) above.
-fn ln_factorial(k: u64) -> f64 {
+/// k ≥ 10) above. Public for samplers elsewhere that seed a pmf at a
+/// large count.
+pub fn ln_factorial(k: u64) -> f64 {
     if k < 10 {
         return (2..=k).map(|i| (i as f64).ln()).sum();
     }
