@@ -7,9 +7,9 @@
 //! for \[12\].
 //!
 //! Since the scenario-layer unification the round protocols are plain
-//! [`Protocol`](bib_core::protocol::Protocol)s, so the sweep replicates
+//! [`Protocol`]s, so the sweep replicates
 //! them through the same parallel machinery
-//! ([`replicate_outcomes`](bib_parallel::replicate_outcomes)) as every
+//! ([`replicate_outcomes`]) as every
 //! sequential experiment, honouring `--threads` — and, since the
 //! round-occupancy engine, `--engine` (default `faithful`; `histogram`
 //! or `auto` run the batched rounds, which makes the full sweep's

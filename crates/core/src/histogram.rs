@@ -1,4 +1,5 @@
-//! The occupancy-histogram engine ([`Engine::Histogram`]).
+//! The occupancy-histogram engine
+//! ([`Engine::Histogram`](crate::protocol::Engine::Histogram)).
 //!
 //! Every protocol this engine accepts is *symmetric*: bins with equal
 //! load are exchangeable, so the load vector carries no information
@@ -81,7 +82,9 @@
 //! exactly when the observer wants them (segments cap at stage
 //! boundaries, like the level-batched driver).
 
-use crate::level_batched::{BatchStats, ThresholdSchedule};
+use crate::level_batched::{
+    stream_samples_for_hits_bounded, BatchStats, ThresholdSchedule, HISTOGRAM_SAMPLES_CUTOFF,
+};
 use crate::protocol::{Observer, Outcome, RunConfig};
 use crate::scenario::Scenario;
 use bib_rng::dist::{ln_factorial, BinomialSampler, Distribution, GeometricSampler};
@@ -98,8 +101,8 @@ const ROUND_CUTOFF: u64 = 32;
 const PER_HIT_SPLIT: u64 = 8;
 
 /// [`occupancy_profile`] and [`distinct_hit_count`] run their exact
-/// per-hit walk up to this many hits; above it the profile is a hazard
-/// walk with drift repair and the distinct count a rounded normal.
+/// per-hit walk up to this many hits; above it the profile is a Poisson
+/// draw with an exact top-up and the distinct count a rounded normal.
 const EXACT_HITS: u64 = 64;
 
 /// Conditional-split binomials with variance `n·p·(1−p)` at or above
@@ -108,13 +111,6 @@ const EXACT_HITS: u64 = 64;
 /// capping the `O(√var)` cost of the mode-centred inversion on the
 /// per-stage hot path.
 const SPLIT_NORMAL_VAR: f64 = 4.0;
-
-/// Exact-summation ceiling for the negative-binomial allocation-time
-/// draw of a round; larger rounds use the CLT limit. Lower than the
-/// level-batched engine's ceiling because this engine runs several
-/// small rounds per adaptive stage and their geometric sums would
-/// dominate the collapsed hot path.
-const SAMPLES_EXACT_CUTOFF: u64 = 32;
 
 /// The occupancy histogram: `count(ℓ)` bins currently hold exactly `ℓ`
 /// balls. Loads only grow, so the live span `[min_load, max_load]` only
@@ -669,7 +665,7 @@ fn cheap_std_normal<R: Rng64 + ?Sized>(rng: &mut R) -> f64 {
 
 /// `Binomial(n, p)` for the wide conditional splits: exact while the
 /// variance is moderate, rounded-normal (clamped to the support) above
-/// [`SPLIT_NORMAL_VAR`]. The step of every count chain
+/// `SPLIT_NORMAL_VAR` = 4. The step of every count chain
 /// (`split_counts`), and shared with the serve driver's health-class
 /// moves and the parallel round-occupancy engine's open-set request
 /// splits.
@@ -812,32 +808,10 @@ fn split_counts<R, F, G>(
     }
 }
 
-/// Total uniform-stream samples consumed to obtain `hits` hits on an
-/// accepting set of probability `p`: the level-batched engine's
-/// negative-binomial construction at this engine's exact-sum ceiling.
-fn round_samples<R: Rng64 + ?Sized>(hits: u64, p: f64, rng: &mut R) -> u64 {
-    crate::level_batched::stream_samples_for_hits_bounded(hits, p, SAMPLES_EXACT_CUTOFF, rng)
-}
-
-/// Distance from the mean `λ` beyond which a Poisson or `Bin(h, 1/c)`
-/// count lands with probability below `e⁻³⁰⁰`: `40√λ + 64`.
+/// Distance from the mean `λ` beyond which a `Poisson(λ)` count
+/// lands with probability below `e⁻³⁰⁰`: `40√λ + 64`.
 fn tail_reach(lambda: f64) -> f64 {
     40.0 * lambda.max(1.0).sqrt() + 64.0
-}
-
-/// Guaranteed stopping level for the hazard walk over a `Bin(h, 1/c)`
-/// marginal ([`draw_occupancy_cells`]): the true mass beyond
-/// `λ + tail_reach(λ)` is below `e⁻³⁰⁰`, so parking the stragglers there
-/// is the same approximation the `tail < 1e-12` exhaustion break makes —
-/// but it triggers *surely*. The exhaustion break alone is fragile:
-/// float error in the seeded pmf floors the walked tail at the seed's
-/// relative error, and when that floor sits above the cutoff the
-/// stragglers ride `j` all the way to `h` — an O(h) walk plus an O(h)
-/// cells vector for the drift repair to crawl, which at `n = 2²⁷` turned
-/// sub-millisecond rounds into minutes.
-fn park_level(c: u64, h: u64) -> u64 {
-    let lambda = h as f64 / c as f64;
-    ((lambda + tail_reach(lambda)) as u64).min(h)
 }
 
 /// Rounds with at most this many balls left are *small*: they draw
@@ -1072,202 +1046,113 @@ pub(crate) fn poissonized_round<R: Rng64 + ?Sized>(
     (hits, kept)
 }
 
-/// Draws the occupancy pattern of `h` uniform hits over `k`
-/// exchangeable bins: `cells[j]` = number of bins receiving exactly `j`
-/// hits. A hazard walk over the `Bin(h, 1/k)` marginal, with the drift
-/// of `Σ j·cells[j]` repaired toward exactly `h` by proportional
-/// single-level moves — the parallel round engines' profile, which must
-/// hold exactly `h` contacts (see [`occupancy_profile`]).
-fn draw_occupancy_cells<R: Rng64 + ?Sized>(k: u64, h: u64, cells: &mut Vec<u64>, rng: &mut R) {
-    cells.clear();
-    let mut c_rem = k;
-    // Seeded through the log for the same h·ε-error reason as
-    // [`scatter_class`]; [`park_level`] bounds the walk even when the
-    // tail floor sits above the exhaustion cutoff.
-    let mut ln_pmf = h as f64 * (-1.0 / k as f64).ln_1p();
-    let mut pmf = ln_pmf.exp();
-    let mut log_mode = pmf < 1e-290;
-    let mut tail = 1.0f64;
-    let j_park = park_level(k, h);
-    while c_rem > 0 {
-        let j = cells.len() as u64;
-        if j >= j_park || tail < 1e-12 {
-            cells.push(c_rem);
-            break;
-        }
-        let hazard = if tail <= pmf {
-            1.0
-        } else {
-            (pmf / tail).clamp(0.0, 1.0)
-        };
-        let nj = if hazard == 0.0 {
-            0
-        } else {
-            split_binomial(c_rem, hazard, rng)
-        };
-        cells.push(nj);
-        c_rem -= nj;
-        tail = (tail - pmf).max(0.0);
-        let num = (h - j) as f64;
-        let den = (j + 1) as f64 * (k - 1) as f64;
-        if log_mode {
-            ln_pmf += num.ln() - den.ln();
-            pmf = ln_pmf.exp();
-            log_mode = pmf < 1e-290;
-        } else {
-            pmf *= num / den;
-        }
-    }
-    // Repair Σ j·cells[j] toward exactly h with single-level moves
-    // apportioned proportionally over the donor cells.
-    let consumed = |cells: &[u64]| -> u64 {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(j, &nj)| j as u64 * nj)
-            .sum::<u64>()
-    };
-    let mut d = consumed(cells) as i128 - h as i128;
-    while d > 0 {
-        let mut pool: u64 = cells[1..].iter().sum();
-        if pool == 0 {
-            break;
-        }
-        let mut want = (d as u128).min(pool as u128) as u64;
-        d -= want as i128;
-        if want > 16 {
-            // Proportional chain pass: one conditional binomial per
-            // donor cell moves the bulk of the drift in O(cells) draws
-            // (the typical drift is Θ(√h) — per-move repair would put a
-            // √h · cells term on every round).
-            for i in 1..cells.len() {
-                if want == 0 {
-                    break;
-                }
-                let mi = if pool == cells[i] {
-                    want
-                } else {
-                    split_binomial(want, cells[i] as f64 / pool as f64, rng)
-                }
-                .min(cells[i]);
-                pool -= cells[i];
-                cells[i] -= mi;
-                cells[i - 1] += mi;
-                want -= mi;
-            }
-            pool = cells[1..].iter().sum();
-        }
-        while want > 0 && pool > 0 {
-            let mut r = rng.range_u64(pool);
-            for i in 1..cells.len() {
-                if r < cells[i] {
-                    cells[i] -= 1;
-                    cells[i - 1] += 1;
-                    break;
-                }
-                r -= cells[i];
-            }
-            pool -= 1;
-            want -= 1;
-        }
-        d += want as i128;
-    }
-    while d < 0 {
-        let mut pool: u64 = cells.iter().sum();
-        if pool == 0 {
-            break;
-        }
-        let mut want = ((-d) as u128).min(pool as u128) as u64;
-        d += want as i128;
-        if want > 16 {
-            // Descending apply: cell i+1 has already donated before it
-            // receives from cell i.
-            for i in (0..cells.len()).rev() {
-                if want == 0 {
-                    break;
-                }
-                pool -= cells[i];
-                let mi = if pool == 0 {
-                    want
-                } else {
-                    split_binomial(want, cells[i] as f64 / (pool + cells[i]) as f64, rng)
-                }
-                .min(cells[i]);
-                if mi > 0 {
-                    cells[i] -= mi;
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                    want -= mi;
-                }
-            }
-            pool = cells.iter().sum();
-        }
-        while want > 0 && pool > 0 {
-            let mut r = rng.range_u64(pool);
-            for i in 0..cells.len() {
-                if r < cells[i] {
-                    cells[i] -= 1;
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += 1;
-                    break;
-                }
-                r -= cells[i];
-            }
-            pool -= 1;
-            want -= 1;
-        }
-        d -= want as i128;
+/// The occupancy profile of a batch of uniform contacts, drawn by
+/// [`occupancy_profile`]: `cells()` lists `(j, bins receiving exactly j
+/// contacts)`, ascending in `j`, with no empty entry. It also holds the
+/// buffers of the draw's top-up, so a caller that keeps one profile for
+/// a whole run allocates only while the buffers grow.
+#[derive(Debug, Clone, Default)]
+pub struct OccupancyProfile {
+    cells: Vec<(u32, u64)>,
+    /// Profile of the contacts drawn to top `cells` up, followed by the
+    /// `(new multiplicity, bins)` moves of their overlay.
+    top_up: Vec<(u32, u64)>,
+}
+
+impl OccupancyProfile {
+    /// `(j, bins receiving exactly j contacts)`, ascending in `j`.
+    pub fn cells(&self) -> &[(u32, u64)] {
+        &self.cells
     }
 }
 
-/// Draws the *occupancy profile* of `hits` uniform throws over `bins`
-/// exchangeable bins: on return `cells[j]` = number of bins receiving
-/// exactly `j` throws (`Σ cells[j] = bins`, `Σ j·cells[j] = hits`,
+/// Draws the *occupancy profile* of `hits` uniform contacts over `bins`
+/// exchangeable bins into `profile` (`Σ bins = bins`, `Σ j·bins = hits`,
 /// surely).
 ///
 /// This is the multiplicity-profile primitive of the parallel
 /// round-occupancy engines (collision / bounded-load / parallel-greedy),
 /// which resolve acceptance per multiplicity class instead of per
-/// contact. They make exactly one contact per unplaced ball, so the
-/// contact count is fixed and the histogram engines' Poissonized round
-/// (`poissonized_round`, whose hit count is random) does not fit.
+/// contact. They need the profile of exactly `hits` contacts, so unlike
+/// `poissonized_round`, which processes a random number of hits and
+/// leaves the rest to its next round, the profile tops its Poisson draw
+/// up.
 ///
-/// Exactness regimes: `hits ≤ 64` runs the exact per-hit collision walk
-/// (each throw lands on an already-hit bin with probability
-/// `#hit/bins`), so small cases are *exactly* multinomial; larger
-/// intakes run the hazard walk over the `Bin(hits, 1/bins)` marginal
-/// with proportional drift repair — a moment-exact approximation whose
-/// residual error the equivalence suites bound. Cost is
-/// `O(max multiplicity)` draws, independent of `bins` and `hits`.
+/// Up to 64 contacts run the exact per-contact walk (a contact lands on
+/// an already-hit bin with probability `#hit/bins`). Above that, every
+/// bin draws an independent Poisson count at mean
+/// `(hits − SLACK_SD·√hits)/bins` (`split_poisson_counts`), redrawn
+/// while their total `N` exceeds `hits`; given `N`, that is exactly the
+/// profile of `N` uniform contacts. The missing `hits − N` contacts are
+/// drawn the same way (by the walk once at most 64 remain) and
+/// overlaid: the bins taking `i` extra contacts are a uniform subset,
+/// disjoint across `i`, so each group spreads over the current cells
+/// without replacement ([`block_composition`]) and each share moves
+/// from `j` to `j + i`. Each top-up owes about the square root of the
+/// contacts before it, so a draw reaches the walk within a few top-ups.
+///
+/// The profile is exact except where [`split_binomial`] is a rounded
+/// normal (variance above 4) and [`hypergeometric`] moment-matched
+/// (above 8 draws). Cost is `O(√λ + #cells)` draws per top-up at
+/// `λ = hits/bins`, independent of `bins` and `hits`.
 pub fn occupancy_profile<R: Rng64 + ?Sized>(
     bins: u64,
     hits: u64,
-    cells: &mut Vec<u64>,
+    profile: &mut OccupancyProfile,
     rng: &mut R,
 ) {
     assert!(bins > 0, "occupancy_profile: need at least one bin");
-    if hits == 0 {
-        cells.clear();
-        cells.push(bins);
-        return;
-    }
+    let OccupancyProfile { cells, top_up } = profile;
     if bins == 1 {
-        // Degenerate: the single bin takes everything. (Callers with a
-        // single bin and a huge intake should special-case before the
-        // dense profile, as the sequential engines do.)
         cells.clear();
-        cells.resize(hits as usize + 1, 0);
-        cells[hits as usize] = 1;
-        cells[0] = 0;
+        cells.push((multiplicity(hits), 1));
         return;
     }
+    let mut drawn = draw_profile(bins, hits, cells, rng);
+    while drawn < hits {
+        drawn += draw_profile(bins, hits - drawn, top_up, rng);
+        let groups = top_up.len();
+        let mut remaining = bins;
+        for g in 0..groups {
+            let (i, group) = top_up[g];
+            if i > 0 {
+                block_composition(cells, remaining, group, rng, |_, j, c| {
+                    top_up.push((j + i, c))
+                });
+                remaining -= group;
+            }
+        }
+        cells.retain(|&(_, c)| c > 0);
+        cells.extend_from_slice(&top_up[groups..]);
+        cells.sort_unstable_by_key(|&(j, _)| j);
+        cells.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+    }
+}
+
+/// A contact multiplicity as a load increment.
+fn multiplicity(j: u64) -> u32 {
+    u32::try_from(j).expect("contact multiplicities fit the u32 load range")
+}
+
+/// Draws the profile of at most `hits` uniform contacts over `bins ≥ 2`
+/// bins into `cells` and returns how many it drew: exactly `hits` by the
+/// per-contact walk up to [`EXACT_HITS`], else the Poisson draw of
+/// [`occupancy_profile`].
+fn draw_profile<R: Rng64 + ?Sized>(
+    bins: u64,
+    hits: u64,
+    cells: &mut Vec<(u32, u64)>,
+    rng: &mut R,
+) -> u64 {
     if hits <= EXACT_HITS {
-        // Exact per-hit walk: index the hit bins 0..; a throw lands on
-        // hit bin `r` iff `r < #hit` (each specific bin w.p. 1/bins).
+        // Index the hit bins 0..; a contact lands on hit bin `r` iff
+        // `r < #hit` (each specific bin w.p. 1/bins).
         let mut counts = [0u8; EXACT_HITS as usize];
         let mut touched = 0usize;
         for _ in 0..hits {
@@ -1279,16 +1164,33 @@ pub fn occupancy_profile<R: Rng64 + ?Sized>(
                 touched += 1;
             }
         }
-        let max_mult = counts[..touched].iter().copied().max().unwrap_or(0) as usize;
+        let counts = &mut counts[..touched];
+        counts.sort_unstable();
         cells.clear();
-        cells.resize(max_mult + 1, 0);
-        cells[0] = bins - touched as u64;
-        for &c in &counts[..touched] {
-            cells[c as usize] += 1;
+        let untouched = bins - touched as u64;
+        if untouched > 0 {
+            cells.push((0, untouched));
         }
-        return;
+        for &c in counts.iter() {
+            match cells.last_mut() {
+                Some(last) if last.0 == u32::from(c) => last.1 += 1,
+                _ => cells.push((u32::from(c), 1)),
+            }
+        }
+        return hits;
     }
-    draw_occupancy_cells(bins, hits, cells, rng);
+    let lambda = (hits as f64 - SLACK_SD * (hits as f64).sqrt()) / bins as f64;
+    loop {
+        cells.clear();
+        let mut drawn = 0u64;
+        split_poisson_counts(bins, lambda, rng, |j, c| {
+            cells.push((multiplicity(j), c));
+            drawn += j * c;
+        });
+        if drawn <= hits {
+            return drawn;
+        }
+    }
 }
 
 /// Number of *distinct* bins hit by `hits` uniform throws over `bins`
@@ -1384,8 +1286,9 @@ pub fn hypergeometric<R: Rng64 + ?Sized>(total: u64, marked: u64, draws: u64, rn
 /// completes), decrementing `classes` in place and calling
 /// `take(class_index, load, count)` for every class that contributes.
 /// `remaining` must equal the sum of the remaining class counts and
-/// `block ≤ remaining`. Shared by [`OccupancyHistogram::shuffled_loads`]
-/// and the parallel round engines' sharded reconstruction, so the
+/// `block ≤ remaining`. Shared by [`OccupancyHistogram::shuffled_loads`],
+/// the rounds of both histogram engines, the top-up of
+/// [`occupancy_profile`] and the parallel round engines, so the
 /// exactness-critical chain exists once.
 pub fn block_composition<R, F>(
     classes: &mut [(u32, u64)],
@@ -1490,7 +1393,12 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
         let k = hist.open_bins(t);
         let (hits, kept) =
             poissonized_round(std::slice::from_mut(hist), &[t], &[1.0], left, round, rng);
-        samples += round_samples(hits, k as f64 / n as f64, rng);
+        samples += stream_samples_for_hits_bounded(
+            hits,
+            k as f64 / n as f64,
+            HISTOGRAM_SAMPLES_CUTOFF,
+            rng,
+        );
         debug_assert!(kept > 0, "a round with open capacity must place something");
         if kept == 0 {
             break; // defensive: the exact tail below is always correct
@@ -2374,23 +2282,63 @@ mod tests {
     }
 
     #[test]
+    fn occupancy_profile_matches_exact_law() {
+        // One-sample z-tests of the untouched and the singly-hit bin
+        // counts against their closed forms, at collision's first
+        // `batch-sweep` round (k = h = 10⁷) and a smaller later one.
+        // With q_r = (1 − r/k)^h:
+        //   E[c0] = k·q_1,            Var c0 = k(k−1)·q_2 + E[c0] − E[c0]²,
+        //   E[c1] = h·q_1/(1 − 1/k),
+        //   Var c1 = h(h−1)(k−1)/k · q_2/(1 − 2/k)² + E[c1] − E[c1]².
+        let reps = 20_000u32;
+        let mut profile = OccupancyProfile::default();
+        for (k, h) in [(10_000_000u64, 10_000_000u64), (10_000_000, 2_960_000)] {
+            let mut rng = SplitMix64::new(k ^ h);
+            let mut sums = [0.0f64; 2];
+            for _ in 0..reps {
+                occupancy_profile(k, h, &mut profile, &mut rng);
+                let cells = profile.cells();
+                assert_eq!(cells.iter().map(|&(_, c)| c).sum::<u64>(), k);
+                assert_eq!(cells.iter().map(|&(j, c)| u64::from(j) * c).sum::<u64>(), h);
+                for &(j, c) in cells.iter().take_while(|&&(j, _)| j < 2) {
+                    sums[j as usize] += c as f64;
+                }
+            }
+            let (kf, hf) = (k as f64, h as f64);
+            let q = |r: f64| (hf * (-r / kf).ln_1p()).exp();
+            let e0 = kf * q(1.0);
+            let v0 = kf * (kf - 1.0) * q(2.0) + e0 - e0 * e0;
+            let e1 = hf * q(1.0) / (1.0 - 1.0 / kf);
+            let v1 = hf * (hf - 1.0) * (kf - 1.0) / kf * q(2.0) / (1.0 - 2.0 / kf).powi(2) + e1
+                - e1 * e1;
+            for (j, (e, v)) in [(e0, v0), (e1, v1)].into_iter().enumerate() {
+                let mean = sums[j] / f64::from(reps);
+                let z = (mean - e) / (v / f64::from(reps)).sqrt();
+                assert!(
+                    z.abs() < 5.0,
+                    "k={k} h={h}: E[c{j}] {mean:.1} vs exact {e:.1} (z = {z:.2})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn hazard_walks_stay_bounded_at_giant_scale() {
-        // Regression: at k = h = 2²⁷ the powi-seeded pmf left the walked
-        // tail floored above the 1e-12 exhaustion cutoff, and straggler
-        // bins rode the walk to j = h — 2²⁷ + 1 cells and a ~3h drift
-        // for the repair loop to crawl (minutes per round). The log
-        // seed plus the `park_level` bound keep every walk O(λ + √λ).
-        let mut cells = Vec::new();
+        // At k = h = 2²⁷ every profile stays within the Poisson chain's
+        // reach, `λ + tail_reach(λ)` multiplicities: a straggler cell
+        // near h would cost every caller an O(h) walk per round.
+        let mut profile = OccupancyProfile::default();
         for seed in 0..20u64 {
             let mut rng = SplitMix64::new(seed);
-            occupancy_profile(1 << 27, 1 << 27, &mut cells, &mut rng);
+            occupancy_profile(1 << 27, 1 << 27, &mut profile, &mut rng);
+            let cells = profile.cells();
+            let top = cells.last().expect("a profile has cells").0;
             assert!(
-                cells.len() as u64 <= park_level(1 << 27, 1 << 27) + 1,
-                "seed {seed}: walk produced {} cells",
-                cells.len()
+                f64::from(top) <= 1.0 + tail_reach(1.0),
+                "seed {seed}: profile reaches multiplicity {top}"
             );
-            assert_eq!(cells.iter().sum::<u64>(), 1 << 27);
-            let consumed: u64 = cells.iter().enumerate().map(|(j, &c)| j as u64 * c).sum();
+            assert_eq!(cells.iter().map(|&(_, c)| c).sum::<u64>(), 1 << 27);
+            let consumed: u64 = cells.iter().map(|&(j, c)| u64::from(j) * c).sum();
             assert_eq!(consumed, 1 << 27);
         }
         // A whole capped placement at the same scale: one class, n

@@ -81,14 +81,20 @@ fn batch_cutoff(k0: usize) -> u64 {
     (4 * k0 as u64).max(64)
 }
 
+/// Exact-summation ceiling of [`stream_samples_for_hits_bounded`] in
+/// the uniform and weight-class histogram engines. Lower than this
+/// engine's ceiling because they price several small rounds per stage
+/// or segment, and long geometric sums would dominate their collapsed
+/// hot path.
+pub(crate) const HISTOGRAM_SAMPLES_CUTOFF: u64 = 32;
+
 /// Draws the total number of uniform bin samples needed to obtain
 /// `hits` hits in an accepting set of probability `p` — a sum of `hits`
 /// geometrics, i.e. `hits + NegativeBinomial(hits, p)` failures. Exact
 /// summation up to `exact_cutoff` hits; rounded CLT draw (mean
 /// `hits/p`, variance `hits·(1−p)/p²`) beyond, clamped to the support
-/// `≥ hits`. Shared by this engine (cutoff 4096) and the histogram
-/// engine (cutoff 32 — it prices one round per adaptive stage, where
-/// long geometric sums would dominate the collapsed hot path).
+/// `≥ hits`. Shared by this engine (cutoff 4096) and both histogram
+/// engines ([`HISTOGRAM_SAMPLES_CUTOFF`]).
 pub(crate) fn stream_samples_for_hits_bounded<R: Rng64 + ?Sized>(
     hits: u64,
     p: f64,

@@ -33,7 +33,7 @@
 //!
 //! 3. **One construction surface.** [`Workload`] × [`Family`] names a
 //!    cell of the scenario matrix; [`scenario_protocol`] materialises it
-//!    as a boxed [`DynProtocol`](crate::protocol::DynProtocol), so sweeps
+//!    as a boxed [`DynProtocol`], so sweeps
 //!    (the bench binaries, the README matrix) can iterate the
 //!    cross-product without knowing the concrete types.
 //!

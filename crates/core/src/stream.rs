@@ -49,7 +49,7 @@
 //!
 //! # Faults, retries, shedding
 //!
-//! A [`FaultPlan`](crate::faults::FaultPlan) is consulted at every tick
+//! A [`FaultPlan`] is consulted at every tick
 //! boundary; engines consult the resulting class partition on every
 //! contact. A probe that lands on a dead or draining bin costs the
 //! sample and forces a re-draw. One placement *attempt* may spend up to
@@ -57,9 +57,9 @@
 //! `min(2^(attempts−1), backoff_cap)` ticks (capped exponential
 //! backoff in rounds) and retries, up to `retry_budget` attempts, after
 //! which the ball is **shed** — counted on the
-//! [`Outcome`](crate::protocol::Outcome), never silent. When the alive
+//! [`Outcome`], never silent. When the alive
 //! fraction drops below `fallback_alive_frac`, multi-probe families
-//! (greedy[d], adaptive, threshold) **fall back** to one-choice — the
+//! (`greedy[d]`, adaptive, threshold) **fall back** to one-choice — the
 //! first accepting contact wins — trading balance for guaranteed
 //! progress; every fallback placement is counted too. Degraded, never
 //! wedged.
@@ -69,7 +69,7 @@
 //! The whole trajectory is a pure function of `(seed, spec, cfg)`:
 //! arrivals, departures, fault splits and placements all draw from
 //! seed-derived streams. Observers: the stream driver does not emit
-//! per-ball [`Observer`](crate::protocol::Observer) events (a collapsed
+//! per-ball [`Observer`] events (a collapsed
 //! driver has no bin identities and a steady-state run has no single
 //! "stage"); its observability surface is [`StreamReport`] — the
 //! per-tick [`TickStats`] series and the [`LatencyTail`] histogram —

@@ -58,7 +58,7 @@
 //! [`Scenario::weighted`]: crate::scenario::Scenario::weighted
 
 use crate::histogram::{poissonized_round, random_permutation, OccupancyHistogram, RoundScratch};
-use crate::level_batched::stream_samples_for_hits_bounded;
+use crate::level_batched::{stream_samples_for_hits_bounded, HISTOGRAM_SAMPLES_CUTOFF};
 use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Scenario, WeightedSchedule};
 use bib_rng::dist::{AliasTable, Distribution, GeometricSampler};
@@ -74,11 +74,6 @@ pub const MAX_WEIGHT_CLASSES: usize = 64;
 /// paying for its per-class fixed cost and the exact per-ball tail
 /// takes over (mirrors the uniform histogram engine's cutoff).
 const ROUND_CUTOFF: u64 = 16;
-
-/// Exact-summation ceiling for the negative-binomial allocation-time
-/// draw of a weighted round (the histogram engine's small ceiling: many
-/// small rounds per segment).
-const SAMPLES_EXACT_CUTOFF: u64 = 32;
 
 /// Validates a weight vector: non-empty, every entry finite and
 /// non-negative, at least one entry positive. Returns the total weight.
@@ -484,10 +479,10 @@ where
 /// engine: every class keeps its own [`OccupancyHistogram`]; segment
 /// intakes land in Poissonized rounds over all classes' open bins, each
 /// hit ∝ its class weight (`histogram::poissonized_round`); the last
-/// [`ROUND_CUTOFF`] balls of each segment run the exact collapsed
-/// per-class chain. Bin identities are
-/// synthetic within a class (one seeded permutation per class), exactly
-/// as in the uniform histogram engine. `Observer::on_ball` never fires;
+/// `ROUND_CUTOFF` = 16 balls of each segment run the exact collapsed
+/// per-class chain. Bin identities are synthetic within a class (one
+/// seeded permutation per class), exactly as in the uniform histogram
+/// engine. `Observer::on_ball` never fires;
 /// stage traces fire when wanted.
 pub fn drive_weighted_histogram<S, R, O>(
     schedule: &S,
@@ -645,7 +640,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
         samples += if unbounded_only {
             hits
         } else {
-            stream_samples_for_hits_bounded(hits, p.min(1.0), SAMPLES_EXACT_CUTOFF, rng)
+            stream_samples_for_hits_bounded(hits, p.min(1.0), HISTOGRAM_SAMPLES_CUTOFF, rng)
         };
         debug_assert!(kept > 0, "a weighted round with open capacity must place");
         if kept == 0 {

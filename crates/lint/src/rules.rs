@@ -42,7 +42,7 @@ pub enum Section {
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub rel_path: String,
-    /// Crate directory key: `core`, `parallel`, `compat/rand`, `lint`,
+    /// Crate directory key: `core`, `parallel`, `compat/proptest`, `lint`,
     /// or `root` for the top-level package.
     pub crate_dir: String,
     /// Which section of the crate the file is in.

@@ -9,10 +9,10 @@
 //! max load exactly ≤ `cap`, a round count that grows extremely slowly
 //! with `n`, and O(1) messages per ball.
 
-use super::round_occupancy::{resolve_round_engine, LevelSlots, RoundTrace};
+use super::round_occupancy::{resolve_round_engine, snapshot_classes, RoundTrace};
 use bib_core::error::ProtocolError;
 use bib_core::histogram::{
-    distinct_hit_count, rounded_normal_count, split_binomial, OccupancyHistogram,
+    block_composition, distinct_hit_count, rounded_normal_count, split_binomial, OccupancyHistogram,
 };
 use bib_core::protocol::{Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_core::scenario::Scenario;
@@ -251,7 +251,7 @@ impl BoundedLoad {
     ///
     /// The `P` gaining bins are a uniform subset of the open bins
     /// (contacts are load-blind), so the increments spread over the open
-    /// occupancy classes without replacement ([`LevelSlots`]). Rounds
+    /// occupancy classes without replacement ([`block_composition`]). Rounds
     /// with at most 64 total contacts instead run an exact within-round
     /// simulation on exchangeable bins (request walk, per-bin requester
     /// lists, random tie-break order), so small cases stay exact.
@@ -353,9 +353,10 @@ impl BoundedLoad {
                 // The gaining bins are a uniform size-`placed` subset of
                 // the open bins: spread the +1 increments over the open
                 // classes.
-                let mut slots = LevelSlots::snapshot(&hist, Some(self.cap), level_buf);
-                slots.assign(placed, rng, |l, cnt| hist.promote(l, cnt, 1));
-                level_buf = slots.into_buf();
+                let pool = snapshot_classes(&hist, Some(self.cap), &mut level_buf);
+                block_composition(&mut level_buf, pool, placed, rng, |_, l, cnt| {
+                    hist.promote(l, cnt, 1)
+                });
                 placed
             };
 
@@ -408,13 +409,13 @@ impl BoundedLoad {
             }
         }
         // Assign each touched bin its occupancy class, without
-        // replacement (exact sequential picks — the group is ≤ 64).
-        let mut slots = LevelSlots::snapshot(hist, None, std::mem::take(level_buf));
+        // replacement.
+        let mut remaining = snapshot_classes(hist, None, level_buf);
         let mut bin_level: Vec<u32> = Vec::with_capacity(requesters.len());
         for _ in 0..requesters.len() {
-            slots.assign(1, rng, |l, _| bin_level.push(l));
+            block_composition(level_buf, remaining, 1, rng, |_, l, _| bin_level.push(l));
+            remaining -= 1;
         }
-        *level_buf = slots.into_buf();
         // Resolve accepts in a uniformly random bin order.
         let mut order: Vec<u32> = (0..requesters.len() as u32).collect();
         rng.shuffle(&mut order);

@@ -8,8 +8,10 @@
 //! `m = n` and constant `c` the expected number of unplaced balls drops
 //! doubly exponentially, giving `O(log log n)` rounds.
 
-use super::round_occupancy::{resolve_round_engine, LevelSlots, RoundTrace};
-use bib_core::histogram::{occupancy_profile, OccupancyHistogram};
+use super::round_occupancy::{resolve_round_engine, snapshot_classes, RoundTrace};
+use bib_core::histogram::{
+    block_composition, occupancy_profile, OccupancyHistogram, OccupancyProfile,
+};
 use bib_core::protocol::{Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_core::scenario::Scenario;
 use bib_rng::{Rng64, RngExt};
@@ -69,9 +71,9 @@ impl Protocol for Collision {
     /// else the per-contact rounds. The round-occupancy path is *exact* as a
     /// lumped chain — acceptance depends only on a bin's request
     /// multiplicity, never on its load, so the occupancy histogram is a
-    /// sufficient statistic — up to the large-round
-    /// multiplicity-profile approximation documented on
-    /// [`occupancy_profile`].
+    /// sufficient statistic — up to the two moment-matched sampler
+    /// regimes of its draws: `split_binomial` above variance 4 and
+    /// `hypergeometric` above 8 draws (see [`occupancy_profile`]).
     fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
     where
         R: Rng64 + ?Sized,
@@ -201,7 +203,7 @@ impl Collision {
     /// of `unplaced` contacts over the `n` bins
     /// ([`occupancy_profile`]), accepts the whole multiplicity classes
     /// with `k ≤ c` and spreads each class's bins over the occupancy
-    /// classes without replacement ([`LevelSlots`]) — `O(max
+    /// classes without replacement ([`accept_groups`]) — `O(max
     /// multiplicity + #classes)` per round, independent of `n` and
     /// `unplaced`. Rounds, messages, the stall fallback and the
     /// max-contacts accounting follow the faithful path's rules
@@ -219,8 +221,8 @@ impl Collision {
         let mut messages = 0u64;
         let mut rounds = 0u32;
         let mut stalled = 0u32;
-        let mut cells: Vec<u64> = Vec::new();
-        let mut level_buf: Vec<(u32, u64)> = Vec::new();
+        let mut profile = OccupancyProfile::default();
+        let mut classes: Vec<(u32, u64)> = Vec::new();
         while unplaced > 0 {
             rounds += 1;
             assert!(
@@ -229,26 +231,8 @@ impl Collision {
                 self.max_rounds
             );
             messages += unplaced;
-            occupancy_profile(n as u64, unplaced, &mut cells, rng);
-            let mut slots = LevelSlots::snapshot(&hist, None, level_buf);
-            let mut placed_this_round = 0u64;
-            // Multiplicity groups are disjoint bin sets: every group —
-            // accepted or rejected — consumes its slots so later
-            // groups' class splits condition on it.
-            for (j, &nj) in cells.iter().enumerate().skip(1) {
-                if nj == 0 {
-                    continue;
-                }
-                if j as u64 <= self.c as u64 {
-                    slots.assign(nj, rng, |l, cnt| hist.promote(l, cnt, j as u32));
-                    placed_this_round += j as u64 * nj;
-                } else {
-                    slots.assign(nj, rng, |_, _| {});
-                }
-            }
-            // Exactly the untouched bins are left unassigned.
-            debug_assert_eq!(slots.remaining(), cells[0]);
-            level_buf = slots.into_buf();
+            occupancy_profile(n as u64, unplaced, &mut profile, rng);
+            let placed_this_round = accept_groups(&mut hist, &profile, self.c, &mut classes, rng);
             messages += placed_this_round; // accept messages
             unplaced -= placed_this_round;
             if placed_this_round == 0 {
@@ -259,14 +243,8 @@ impl Collision {
                     // unconditional throw, accepted at any
                     // multiplicity.
                     rounds += 1;
-                    occupancy_profile(n as u64, unplaced, &mut cells, rng);
-                    let mut slots = LevelSlots::snapshot(&hist, None, level_buf);
-                    for (j, &nj) in cells.iter().enumerate().skip(1) {
-                        if nj > 0 {
-                            slots.assign(nj, rng, |l, cnt| hist.promote(l, cnt, j as u32));
-                        }
-                    }
-                    level_buf = slots.into_buf();
+                    occupancy_profile(n as u64, unplaced, &mut profile, rng);
+                    accept_groups(&mut hist, &profile, u32::MAX, &mut classes, rng);
                     messages += 2 * unplaced; // request + forced accept
                     unplaced = 0;
                 }
@@ -285,6 +263,35 @@ impl Collision {
             scenario: Scenario::rounds(rounds, messages),
         }
     }
+}
+
+/// Places the requesters of every bin that receives at most `accept`
+/// of them: each accepted multiplicity group `(j, bins)` of `profile` is
+/// a uniform bin set, disjoint from the other groups, so it spreads over
+/// the round-start `classes` without replacement
+/// ([`block_composition`]) and every share is promoted by `j`. Groups
+/// come in ascending `j`, so the rejected ones all follow the accepted
+/// ones and need no classes. Returns the balls placed.
+fn accept_groups<R: Rng64 + ?Sized>(
+    hist: &mut OccupancyHistogram,
+    profile: &OccupancyProfile,
+    accept: u32,
+    classes: &mut Vec<(u32, u64)>,
+    rng: &mut R,
+) -> u64 {
+    let mut remaining = snapshot_classes(hist, None, classes);
+    let mut placed = 0u64;
+    for &(j, bins) in profile.cells().iter().filter(|&&(j, _)| j > 0) {
+        if j > accept {
+            break;
+        }
+        block_composition(classes, remaining, bins, rng, |_, l, c| {
+            hist.promote(l, c, j)
+        });
+        remaining -= bins;
+        placed += u64::from(j) * bins;
+    }
+    placed
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 
 use super::round_occupancy::{resolve_round_engine, RoundTrace};
 use bib_core::histogram::{
-    occupancy_profile, split_binomial, split_binomial_counts, OccupancyHistogram,
+    occupancy_profile, split_binomial, split_binomial_counts, OccupancyHistogram, OccupancyProfile,
 };
 use bib_core::protocol::{Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_core::scenario::Scenario;
@@ -261,7 +261,7 @@ impl ParallelGreedy {
         // deterministic.
         let mut pinned: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         let mut free = m;
-        let mut cells: Vec<u64> = Vec::new();
+        let mut profile = OccupancyProfile::default();
 
         for round in 1..=self.rounds {
             let pinned_balls: u64 = pinned.iter().map(|(&(_, s), &b)| s as u64 * b).sum();
@@ -273,7 +273,7 @@ impl ParallelGreedy {
             let forced = round == self.rounds;
             messages += if forced { 2 * unplaced } else { unplaced };
             let placed =
-                self.engine_round(&mut hist, &mut pinned, &mut free, forced, &mut cells, rng);
+                self.engine_round(&mut hist, &mut pinned, &mut free, forced, &mut profile, rng);
             if !forced {
                 messages += placed; // accepts
             }
@@ -299,7 +299,7 @@ impl ParallelGreedy {
         pinned: &mut BTreeMap<(u32, u32), u64>,
         free: &mut u64,
         forced: bool,
-        cells: &mut Vec<u64>,
+        profile: &mut OccupancyProfile,
         rng: &mut R,
     ) -> u64 {
         let n = hist.n();
@@ -449,12 +449,9 @@ impl ParallelGreedy {
                 h -= f_cell;
                 // Per-bin fresh multiplicities over the cell's bins; a
                 // bin with s pinned and f fresh admits min(s+f, cap).
-                occupancy_profile(b, f_cell, cells, rng);
-                for (f, &nf_bins) in cells.iter().enumerate() {
-                    if nf_bins == 0 {
-                        continue;
-                    }
-                    let req = s as u64 + f as u64;
+                occupancy_profile(b, f_cell, profile, rng);
+                for &(f, nf_bins) in profile.cells() {
+                    let req = u64::from(s) + u64::from(f);
                     let adm = req.min(admit_cap);
                     if adm > 0 {
                         hist.promote(l, nf_bins, adm as u32);
@@ -470,15 +467,12 @@ impl ParallelGreedy {
             }
             // Unpinned remainder of the class.
             if h > 0 {
-                occupancy_profile(bins_rem, h, cells, rng);
-                for (f, &nf_bins) in cells.iter().enumerate().skip(1) {
-                    if nf_bins == 0 {
-                        continue;
-                    }
-                    let adm = (f as u64).min(admit_cap);
+                occupancy_profile(bins_rem, h, profile, rng);
+                for &(f, nf_bins) in profile.cells().iter().filter(|&&(f, _)| f > 0) {
+                    let adm = u64::from(f).min(admit_cap);
                     hist.promote(l, nf_bins, adm as u32);
                     placed += adm * nf_bins;
-                    let survivors = f as u64 - adm;
+                    let survivors = u64::from(f) - adm;
                     if survivors > 0 {
                         *pinned
                             .entry((l + adm as u32, survivors as u32))

@@ -11,7 +11,8 @@
 //! receiving exactly `k` requests — plus how those bins spread over the
 //! occupancy classes. Both are drawn in `O(max multiplicity + #classes)`
 //! with the primitives `bib-core::histogram` exposes
-//! ([`occupancy_profile`], [`hypergeometric`], [`distinct_hit_count`]):
+//! ([`occupancy_profile`], [`block_composition`], [`hypergeometric`],
+//! [`distinct_hit_count`]):
 //! per-round cost becomes independent of `n` and of the contact count.
 //! On the no-observer path even the final identity reconstruction is
 //! *skipped*: the outcome is a lazy [`bib_core::loads::Loads`] carrying
@@ -36,25 +37,23 @@
 //! every other request — `LevelBatched` included — runs the faithful
 //! per-contact rounds. `LevelBatched` promises exact final loads, and
 //! the faithful rounds are the family's only path that keeps that
-//! promise (the round-occupancy engine's large rounds draw a
-//! moment-matched multiplicity profile). No request is silently ignored.
+//! promise: the round-occupancy engine's large rounds are exact only up
+//! to the moment-matched regimes of `split_binomial` (variance above 4)
+//! and [`hypergeometric`] (above 8 draws), plus the approximations each
+//! protocol documents on its `allocate`. No request is silently
+//! ignored.
 //!
 //! [`occupancy_profile`]: bib_core::histogram::occupancy_profile
+//! [`block_composition`]: bib_core::histogram::block_composition
 //! [`hypergeometric`]: bib_core::histogram::hypergeometric
 //! [`distinct_hit_count`]: bib_core::histogram::distinct_hit_count
 //! [`OccupancyHistogram::shuffled_loads`]: bib_core::histogram::OccupancyHistogram::shuffled_loads
 //! [`Engine::auto_scheduled`]: bib_core::protocol::Engine::auto_scheduled
 
-use bib_core::histogram::{block_composition, materialize, random_permutation, OccupancyHistogram};
+use bib_core::histogram::{materialize, random_permutation, OccupancyHistogram};
 use bib_core::loads::Loads;
 use bib_core::protocol::{Engine, Observer};
-use bib_rng::{Rng64, RngExt};
-
-/// Groups of at most this many bins are assigned to their occupancy
-/// classes one exact uniform pick at a time; larger groups run the
-/// hypergeometric chain (mirrors the sequential engine's
-/// `PER_HIT_SPLIT`).
-const EXACT_GROUP: u64 = 8;
+use bib_rng::Rng64;
 
 /// Resolves the engine request for a round protocol: the family's fixed
 /// two-path rule (see the module docs). Returns `Faithful` or
@@ -67,93 +66,23 @@ pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64) -> Engine {
     }
 }
 
-/// A frozen snapshot of the occupancy classes at round start, consumed
-/// as groups of bins are assigned to classes *without replacement*
-/// (different multiplicity groups of one round are disjoint bin sets,
-/// so each group's class split conditions on everything already
-/// assigned).
-pub(crate) struct LevelSlots {
-    /// `(load, unassigned bins)` in ascending load order.
-    levels: Vec<(u32, u64)>,
-    /// Total unassigned bins across all levels.
-    total: u64,
-}
-
-impl LevelSlots {
-    /// Snapshots the classes with load `< below` (`None` = every
-    /// class), reusing `buf` for the level storage.
-    pub(crate) fn snapshot(
-        hist: &OccupancyHistogram,
-        below: Option<u32>,
-        mut buf: Vec<(u32, u64)>,
-    ) -> Self {
-        buf.clear();
-        let mut total = 0u64;
-        for (l, c) in hist.levels() {
-            if below.is_some_and(|t| l >= t) {
-                break; // levels are ascending
-            }
-            buf.push((l, c));
-            total += c;
-        }
-        Self { levels: buf, total }
-    }
-
-    /// Bins not yet assigned this round.
-    pub(crate) fn remaining(&self) -> u64 {
-        self.total
-    }
-
-    /// Recovers the level buffer for reuse in the next round.
-    pub(crate) fn into_buf(self) -> Vec<(u32, u64)> {
-        self.levels
-    }
-
-    /// Assigns `group` bins to classes without replacement, calling
-    /// `f(load, count)` once per receiving class. Exact sequential
-    /// picks for small groups; a hypergeometric chain (exact mean and
-    /// finite-population variance, clamped to the feasible support so
-    /// the chain surely completes) for large ones.
-    pub(crate) fn assign<R, F>(&mut self, group: u64, rng: &mut R, mut f: F)
-    where
-        R: Rng64 + ?Sized,
-        F: FnMut(u32, u64),
-    {
-        debug_assert!(group <= self.total, "assign: group exceeds the pool");
-        if group == 0 {
-            return;
-        }
-        let live = self.levels.iter().filter(|&&(_, c)| c > 0).count();
-        if live == 1 {
-            let (l, c) = self
-                .levels
-                .iter_mut()
-                .find(|&&mut (_, c)| c > 0)
-                .expect("live == 1");
-            f(*l, group);
-            *c -= group;
-            self.total -= group;
-            return;
-        }
-        if group <= EXACT_GROUP {
-            for _ in 0..group {
-                let mut r = rng.range_u64(self.total);
-                for &mut (l, ref mut c) in self.levels.iter_mut() {
-                    if r < *c {
-                        f(l, 1);
-                        *c -= 1;
-                        break;
-                    }
-                    r -= *c;
-                }
-                self.total -= 1;
-            }
-            return;
-        }
-        // Large groups run the shared conditional-hypergeometric chain.
-        block_composition(&mut self.levels, self.total, group, rng, |_, l, t| f(l, t));
-        self.total -= group;
-    }
+/// Snapshots the occupancy classes with load below `below` (`None`:
+/// every class) into `classes`, ascending, and returns their bins: the
+/// pool from which a round spreads its bin groups without replacement
+/// ([`block_composition`], which needs exactly this total).
+///
+/// [`block_composition`]: bib_core::histogram::block_composition
+pub(crate) fn snapshot_classes(
+    hist: &OccupancyHistogram,
+    below: Option<u32>,
+    classes: &mut Vec<(u32, u64)>,
+) -> u64 {
+    classes.clear();
+    classes.extend(
+        hist.levels()
+            .take_while(|&(l, _)| below.is_none_or(|t| l < t)),
+    );
+    classes.iter().map(|&(_, c)| c).sum()
 }
 
 /// Stage-trace plumbing for the round engines: drivers that run with a
@@ -213,6 +142,7 @@ impl RoundTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bib_core::histogram::block_composition;
     use bib_rng::SplitMix64;
 
     #[test]
@@ -239,18 +169,19 @@ mod tests {
 
     #[test]
     fn assign_conserves_bins_across_paths() {
-        // Small (exact) and large (chain) groups, multi-level pools.
+        // The engines' group assignment: groups below and above the
+        // exact hypergeometric cutoff, spread over a multi-level pool.
         for group in [1u64, 5, 8, 9, 100, 900] {
             let mut hist = OccupancyHistogram::new(1000);
             hist.promote(0, 400, 1);
             hist.promote(0, 100, 2);
+            let mut classes = Vec::new();
+            let pool = snapshot_classes(&hist, None, &mut classes);
             let mut rng = SplitMix64::new(group);
-            let mut slots = LevelSlots::snapshot(&hist, None, Vec::new());
-            assert_eq!(slots.remaining(), 1000);
             let mut seen = 0u64;
-            slots.assign(group, &mut rng, |_, c| seen += c);
+            block_composition(&mut classes, pool, group, &mut rng, |_, _, c| seen += c);
             assert_eq!(seen, group, "group {group}");
-            assert_eq!(slots.remaining(), 1000 - group);
+            assert_eq!(classes.iter().map(|&(_, c)| c).sum::<u64>(), 1000 - group);
         }
     }
 
@@ -259,10 +190,10 @@ mod tests {
         let mut hist = OccupancyHistogram::new(10);
         hist.promote(0, 4, 1);
         hist.promote(0, 2, 3);
-        let slots = LevelSlots::snapshot(&hist, Some(3), Vec::new());
-        assert_eq!(slots.remaining(), 8); // loads 0 and 1 only
-        let all = LevelSlots::snapshot(&hist, None, Vec::new());
-        assert_eq!(all.remaining(), 10);
+        let mut classes = Vec::new();
+        assert_eq!(snapshot_classes(&hist, Some(3), &mut classes), 8); // loads 0 and 1 only
+        assert_eq!(classes, [(0, 4), (1, 4)]);
+        assert_eq!(snapshot_classes(&hist, None, &mut classes), 10);
     }
 
     #[test]
@@ -274,8 +205,9 @@ mod tests {
         for _ in 0..4000 {
             let mut hist = OccupancyHistogram::new(100);
             hist.promote(0, 50, 1);
-            let mut slots = LevelSlots::snapshot(&hist, None, Vec::new());
-            slots.assign(1, &mut rng, |l, c| {
+            let mut classes = Vec::new();
+            let pool = snapshot_classes(&hist, None, &mut classes);
+            block_composition(&mut classes, pool, 1, &mut rng, |_, l, c| {
                 if l == 0 {
                     low += c;
                 }

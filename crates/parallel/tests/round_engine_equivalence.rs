@@ -15,8 +15,9 @@
 //!   and single-round parallel-greedy have closed forms;
 //! * two-sample chi-square tests between faithful and round-occupancy
 //!   replicate ensembles on the max-load, rounds and messages
-//!   marginals, at sizes that exercise the approximate paths
-//!   (occupancy-cell walk, hypergeometric chains, placed-ball draw);
+//!   marginals, at sizes that exercise the paths above 64 contacts
+//!   (the Poissonized occupancy profile and its top-up, hypergeometric
+//!   chains, placed-ball draw);
 //! * sure invariants — mass conservation, the bounded-load capacity
 //!   bound, exact fills, round-indexed stage traces — across sizes;
 //! * `Engine::Auto` resolution: deterministic and stream-identical to

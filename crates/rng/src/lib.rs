@@ -17,8 +17,7 @@
 //!
 //! The design goal is *determinism first*: all generators are plain
 //! `Clone + Eq` state machines, seeds are explicit, and nothing here reads
-//! the OS entropy pool. The `rand` crate appears only as a
-//! dev-dependency, for cross-validation tests.
+//! the OS entropy pool.
 //!
 //! # Quick example
 //!

@@ -1,5 +1,5 @@
-//! Cross-validation of our samplers against the `rand` crate
-//! (dev-dependency only) and against exact pmfs from `bib-analysis`.
+//! Cross-validation of our samplers against exact pmfs from
+//! `bib-analysis` and against each other.
 //!
 //! All tests use fixed seeds and generous tolerances: they detect
 //! implementation mistakes (off-by-one supports, biased ranges), not
@@ -9,56 +9,41 @@ use bib_analysis::chisq::{chi_square_gof, chi_square_uniform};
 use bib_analysis::{Binomial as ExactBinomial, Poisson as ExactPoisson};
 use bib_rng::dist::{BinomialSampler, Distribution, PoissonSampler};
 use bib_rng::{RngExt, SplitMix64, Xoshiro256PlusPlus};
-use rand::{Rng, SeedableRng};
 
-/// Our uniform-range sampler and rand's must agree in distribution:
-/// compare bucket histograms of both through a two-sample chi-square
-/// style check.
+/// Our uniform-range sampler passes a chi-square uniformity test on an
+/// awkward non-power-of-two range.
 #[test]
 fn range_sampler_agrees_with_rand() {
-    const N: u64 = 37; // awkward non-power-of-two range
+    const N: u64 = 37;
     const SAMPLES: usize = 200_000;
-    let mut ours = Xoshiro256PlusPlus::seed_from_u64(99);
-    let mut theirs = rand::rngs::StdRng::seed_from_u64(99);
-    let mut h_ours = vec![0u64; N as usize];
-    let mut h_theirs = vec![0u64; N as usize];
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(99);
+    let mut h = vec![0u64; N as usize];
     for _ in 0..SAMPLES {
-        h_ours[ours.range_u64(N) as usize] += 1;
-        h_theirs[theirs.gen_range(0..N) as usize] += 1;
+        h[rng.range_u64(N) as usize] += 1;
     }
-    // Each histogram must individually pass uniformity.
-    assert!(chi_square_uniform(&h_ours).p_value > 1e-4, "ours biased");
     assert!(
-        chi_square_uniform(&h_theirs).p_value > 1e-4,
-        "rand biased?!"
+        chi_square_uniform(&h).p_value > 1e-4,
+        "range sampler biased"
     );
-    // And their difference must be noise: per-cell |a−b| ≤ 6σ.
-    for (i, (&a, &b)) in h_ours.iter().zip(&h_theirs).enumerate() {
-        let diff = (a as f64 - b as f64).abs();
-        let sigma = ((a + b) as f64).sqrt();
-        assert!(diff < 6.0 * sigma + 1.0, "cell {i}: {a} vs {b}");
-    }
 }
 
-/// Bernoulli frequencies agree with rand's at several probabilities.
+/// Bernoulli frequencies sit within 5σ of `n·p` at several
+/// probabilities.
 #[test]
 fn bernoulli_agrees_with_rand() {
     const SAMPLES: usize = 100_000;
     for (i, &p) in [0.1f64, 0.5, 0.9].iter().enumerate() {
-        let mut ours = SplitMix64::new(7 + i as u64);
-        let mut theirs = rand::rngs::StdRng::seed_from_u64(7 + i as u64);
-        let a = (0..SAMPLES).filter(|_| ours.bernoulli(p)).count() as f64;
-        let b = (0..SAMPLES).filter(|_| theirs.gen_bool(p)).count() as f64;
+        let mut rng = SplitMix64::new(7 + i as u64);
+        let a = (0..SAMPLES).filter(|_| rng.bernoulli(p)).count() as f64;
         let sigma = (SAMPLES as f64 * p * (1.0 - p)).sqrt();
         assert!(
             (a - SAMPLES as f64 * p).abs() < 5.0 * sigma,
-            "ours off at p={p}"
+            "Bernoulli off at p={p}"
         );
-        assert!((a - b).abs() < 7.0 * sigma, "disagreement at p={p}");
     }
 }
 
-/// f64 conversion matches rand's distributional contract ([0,1),
+/// f64 conversion meets the uniform distributional contract ([0,1),
 /// mean 1/2, variance 1/12).
 #[test]
 fn f64_moments() {
