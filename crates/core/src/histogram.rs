@@ -56,11 +56,15 @@
 //! # What is and is not preserved
 //!
 //! *Final loads*: exact in distribution for `greedy[d]`, for every
-//! per-ball tail and for one open bin. A round has two moment-matched
-//! draws, each stated once: the chain's [`split_binomial`] is a rounded
-//! normal above variance `SPLIT_NORMAL_VAR` = 4, and
-//! [`hypergeometric`] above `PER_HIT_SPLIT` = 8 draws, each with the
-//! exact draw's mean and variance. Mass conservation and the `⌈m/n⌉+1`
+//! per-ball tail and for one open bin. A round has two approximate
+//! draws, each stated once. The chain's [`split_binomial`] is a rounded
+//! normal with the exact mean and variance above variance
+//! `SPLIT_NORMAL_VAR` = 4. [`hypergeometric`] is exact up to
+//! `PER_HIT_SPLIT` = 8 draws; above that it is a binomial clamped to
+//! the support while the variance is below 4, which keeps the mean (up
+//! to the clamp) but lacks the finite-population factor in its
+//! variance, and a rounded normal with the exact mean and variance
+//! beyond. Mass conservation and the `⌈m/n⌉+1`
 //! capacity bound hold surely. The round oracle tests check a round's
 //! kept count one-sample against its exact law, and the chi-square
 //! suite in `tests/histogram_equivalence.rs` bounds whole runs against
@@ -1236,12 +1240,16 @@ pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) 
 /// among `draws` drawn without replacement from `total` items of which
 /// `marked` are marked.
 ///
-/// Exact sequential draw for `draws ≤ 8` (one uniform pick per draw);
-/// above that an exact binomial clamped to the support while the
-/// finite-population variance stays below the normal switch, and a
-/// rounded normal with the exact mean and variance beyond. The rounds
-/// use this, through [`block_composition`], to spread a multiplicity
-/// group over the occupancy classes.
+/// Exact sequential draw for `draws ≤ 8` (one uniform pick per draw).
+/// Above that, while the finite-population variance stays below the
+/// normal switch (4), the draw is a `Binomial(draws, marked/total)`
+/// clamped to the support: it has the hypergeometric mean up to the
+/// clamp, but its variance `draws·f·(1 − f)` lacks the
+/// finite-population factor `(total − draws)/(total − 1)`, so it is
+/// wider than the exact law. Beyond the switch it is a rounded normal
+/// with the exact mean and variance. The rounds use this, through
+/// [`block_composition`], to spread a multiplicity group over the
+/// occupancy classes.
 pub fn hypergeometric<R: Rng64 + ?Sized>(total: u64, marked: u64, draws: u64, rng: &mut R) -> u64 {
     assert!(
         marked <= total && draws <= total,

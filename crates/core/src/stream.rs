@@ -25,34 +25,57 @@
 //! `Binomial(ℓ, p)` per-bin departure law — exact, and `O(ℓ)` per
 //! class instead of `O(n)` per tick.
 //!
-//! # One draw per contact
+//! # Pricing attempts: one split per retry group
 //!
-//! A contact is one exact integer draw `r`, uniform over the whole
-//! fleet, read in a fixed order: the `refusing` dead and draining bins
-//! first, then the accepting bins in ascending-load order. `r <
-//! refusing` is a refused contact; otherwise `r − refusing` is the
-//! *rank* of a uniformly random accepting bin. That is the law of a
-//! uniform bin contact, because every bin owns exactly one value of
-//! `r`. Load is monotone in rank, so each family decides on the rank
-//! alone — below the bound iff the rank is below the number of open
-//! bins, least of `d` iff the least rank — and only the placed ball
-//! turns its rank into a load.
+//! Within a tick the fleet's health and size hold still. A uniform
+//! contact is refused (dead or draining bin) with probability
+//! `refusing / n`; otherwise it reaches a uniform accepting bin and
+//! costs one sample, or two if that bin is slow (probability `slow /
+//! accepting`, independent of its load by exchangeability).
 //!
-//! Within a tick the fleet's health and size hold still, so the tick's
-//! placements run on one [`RankIndex`] of the accepting histogram,
-//! built after the tick's faults and written back before its
-//! departures. On the index the number of open bins is one lookup, the
-//! placed ball's rank → load map an O(log span) search and its promote
-//! one decrement: a placement costs O(log span), not a walk over the
-//! classes, which is what keeps heavy per-bin loads (spans of hundreds
-//! of levels) cheap.
+//! One-choice, `greedy[d]` and every fallback tick are *load-blind*:
+//! an attempt places once it has found `d` accepting contacts (`d = 1`
+//! for one-choice and the fallback), so whether it places and how many
+//! samples it spends do not depend on the loads. The driver fixes that
+//! attempt law once per tick (`AttemptLaw`, at most `budget + 3`
+//! cells) and splits the arrivals and each retry group over it with an
+//! exact conditional binomial chain, walking the cells by a DP over
+//! samples and accepting contacts found only as far as the group's
+//! attempts reach. A law with one cell (no refusals and no slow bins,
+//! or nothing accepting) draws nothing. The `d` accepting contacts of
+//! a placed ball are `d` uniform accepting bins whatever the refusals
+//! before them, so the tick's placements are then the batch engine's
+//! exact least-of-`d` rank chain, [`place_least_of_d`], run on the
+//! accepting histogram: `d` rank draws per ball, no draw per refused
+//! or failed contact.
+//!
+//! Adaptive and threshold outside a fallback accept a contact iff its
+//! load is below the bound, which does depend on the loads, so they
+//! keep a per-contact chain: each contact is one exact integer draw
+//! `r` over the fleet, the `refusing` bins first, then the accepting
+//! bins in ascending-load order. `r < refusing` is refused; otherwise
+//! `r − refusing` is the *rank* of a uniform accepting bin, and load is
+//! monotone in rank, so the contact is below the bound iff its rank is
+//! below [`RankIndex::open_below`]. Those ticks run on one
+//! [`RankIndex`] of the accepting histogram, built after the tick's
+//! faults and written back before its departures: the open count is
+//! one lookup, the placed ball's rank → load map an O(log span) search
+//! and its promote one decrement, which keeps heavy per-bin loads
+//! (spans of hundreds of levels) cheap.
+//!
+//! Balls waiting for a retry are kept as groups of equal history
+//! (failed attempts, samples spent) with a count, so a retry group is
+//! priced in one split like the fresh arrivals. With no faults the
+//! draws are the per-contact chain's own: a one-choice or `greedy[d]`
+//! tick then has a one-cell law, and its rank draws come in the same
+//! order.
 //!
 //! # Faults, retries, shedding
 //!
-//! A [`FaultPlan`] is consulted at every tick
-//! boundary; engines consult the resulting class partition on every
-//! contact. A probe that lands on a dead or draining bin costs the
-//! sample and forces a re-draw. One placement *attempt* may spend up to
+//! A [`FaultPlan`] is consulted at every tick boundary; the tick's
+//! attempts run against the resulting class partition. A probe that
+//! lands on a dead or draining bin costs the sample and forces a
+//! re-draw. One placement *attempt* may spend up to
 //! `probe_budget` samples; a failed attempt backs off
 //! `min(2^(attempts−1), backoff_cap)` ticks (capped exponential
 //! backoff in rounds) and retries, up to `retry_budget` attempts, after
@@ -79,12 +102,13 @@
 
 use crate::faults::{FaultKind, FaultPlan};
 use crate::histogram::{
-    rounded_normal_count, split_binomial, split_binomial_counts, OccupancyHistogram, RankIndex,
+    place_least_of_d, rounded_normal_count, split_binomial, split_binomial_counts,
+    OccupancyHistogram, RankIndex,
 };
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{Family, Scenario};
-use bib_rng::dist::{Distribution, PoissonSampler};
+use bib_rng::dist::{BinomialSampler, Distribution, PoissonSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence};
 
 /// Retry, backoff and degradation policy of the streaming driver.
@@ -221,9 +245,15 @@ impl LatencyTail {
 
     /// Records one placed ball that needed `samples` (≥ 1) samples.
     pub fn record(&mut self, samples: u64) {
+        self.record_n(samples, 1);
+    }
+
+    /// Records `balls` placed balls that each needed `samples` (≥ 1)
+    /// samples, as `balls` calls of [`LatencyTail::record`] would.
+    pub fn record_n(&mut self, samples: u64, balls: u64) {
         let idx = ((samples.max(1) - 1) as usize).min(Self::CELLS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
+        self.buckets[idx] += balls;
+        self.count += balls;
     }
 
     /// Merges another tail into this one.
@@ -512,18 +542,6 @@ pub fn departure_split<R: Rng64 + ?Sized>(
     departed
 }
 
-/// The acceptance law one attempt runs under.
-#[derive(Clone, Copy)]
-enum Style {
-    /// First accepting contact wins (one-choice, and the degradation
-    /// fallback).
-    Uniform,
-    /// Accept a contact iff its load is strictly below the bound.
-    Below(u32),
-    /// Least loaded of `d` accepting contacts.
-    LeastOf(u32),
-}
-
 /// The integer fair-share bound `⌈balls/bins⌉ + 1`, saturating at
 /// `u32::MAX`: a load `ℓ` is below it iff `ℓ < balls/bins + 1`. Equal to
 /// `strict_int_bound(balls as f64 / bins as f64 + 1.0)` wherever that
@@ -533,86 +551,198 @@ fn fair_share_bound(balls: u64, bins: u64) -> u32 {
     u32::try_from(balls.div_ceil(bins).saturating_add(1)).unwrap_or(u32::MAX)
 }
 
-/// Runs one placement attempt against the accepting bins' rank index.
-/// `refusing` counts the dead and draining bins, `slow` the slow
-/// accepting ones. `Ok(samples)` placed a ball (already promoted in
-/// `accept`); `Err(samples)` exhausted the probe budget.
+/// How one placement attempt ended: placed or not, and the samples it
+/// spent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Attempt {
+    placed: bool,
+    samples: u64,
+}
+
+/// The exact law of one *load-blind* attempt — one that places once it
+/// has found `d` accepting contacts, whatever their loads (one-choice
+/// and the fallback at `d = 1`, `greedy[d]`). A contact is refused
+/// with probability `refusing / n`; otherwise it is accepting and
+/// costs `1 + Bernoulli(slow / accepting)` samples. The attempt runs
+/// while fewer than `budget` samples are spent, so a slow last contact
+/// ends it at `budget + 1`: the law has at most `budget + 3` cells
+/// (placed after `d ..= budget + 1` samples, failed after `budget` or
+/// `budget + 1`).
+struct AttemptLaw {
+    /// `(samples, accepting contacts found, probability)` of a contact.
+    steps: [(usize, usize, f64); 3],
+    d: usize,
+    budget: usize,
+}
+
+impl AttemptLaw {
+    fn new(refusing: u64, accepting: u64, slow: u64, d: u32, budget: u64) -> Self {
+        let refuse = refusing as f64 / (refusing + accepting) as f64;
+        let slow_p = if accepting == 0 {
+            0.0
+        } else {
+            slow as f64 / accepting as f64
+        };
+        Self {
+            steps: [
+                (1, 0, refuse),
+                (1, 1, (1.0 - refuse) * (1.0 - slow_p)),
+                (2, 1, (1.0 - refuse) * slow_p),
+            ],
+            d: d as usize,
+            budget: usize::try_from(budget).expect("the probe budget is a u32"),
+        }
+    }
+
+    /// Splits `balls` independent attempts over the law: a chain of
+    /// exact conditional binomials over the cells in ascending samples
+    /// (placed before failed), calling `f(cell, count)` once per cell
+    /// that receives balls. A one-cell law draws nothing.
+    ///
+    /// The cells come from a DP over (samples, accepting contacts
+    /// found) walked in ascending samples. A contact costs at most two
+    /// samples, so three rows of `d` states are live at a time, and the
+    /// walk stops once every ball has its cell: a large probe budget
+    /// costs memory and time only as far as the attempts reach.
+    fn split<R, F>(&self, balls: u64, rng: &mut R, mut f: F)
+    where
+        R: Rng64 + ?Sized,
+        F: FnMut(Attempt, u64),
+    {
+        let (d, budget) = (self.d, self.budget);
+        if self.steps[0].2 >= 1.0 {
+            // Nothing accepts: every attempt spends the whole budget.
+            if balls > 0 {
+                f(
+                    Attempt {
+                        placed: false,
+                        samples: budget as u64,
+                    },
+                    balls,
+                );
+            }
+            return;
+        }
+        // `open[(s % 3)·d + found]`: still searching after `s` samples;
+        // `ended[s % 3]`: (placed, failed) mass ending after `s`.
+        let mut open = vec![0.0; 3 * d];
+        let mut ended = [(0.0, 0.0); 3];
+        open[0] = 1.0;
+        let mut left = balls;
+        for s in 0..=budget + 1 {
+            let row = s % 3;
+            let (placed, failed) = std::mem::take(&mut ended[row]);
+            let later: f64 =
+                open.iter().sum::<f64>() + ended.iter().map(|&(p, q)| p + q).sum::<f64>();
+            for (is_placed, mass, rest) in [
+                (true, placed, placed + failed + later),
+                (false, failed, failed + later),
+            ] {
+                if left == 0 {
+                    return;
+                }
+                if mass == 0.0 {
+                    continue;
+                }
+                let p = mass / rest;
+                let k = if p >= 1.0 {
+                    left
+                } else {
+                    BinomialSampler::new(left, p).sample(rng)
+                };
+                if k > 0 {
+                    let samples = s as u64;
+                    f(
+                        Attempt {
+                            placed: is_placed,
+                            samples,
+                        },
+                        k,
+                    );
+                    left -= k;
+                }
+            }
+            for found in 0..d {
+                let mass = std::mem::take(&mut open[row * d + found]);
+                for (cost, step, p) in self.steps {
+                    let q = mass * p;
+                    if q == 0.0 {
+                        continue;
+                    }
+                    let (s, found) = (s + cost, found + step);
+                    if found == d {
+                        ended[s % 3].0 += q;
+                    } else if s >= budget {
+                        ended[s % 3].1 += q;
+                    } else {
+                        open[(s % 3) * d + found] += q;
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(left, 0, "the law's cells hold every attempt");
+    }
+}
+
+/// Runs one attempt of a below-the-bound family (adaptive, threshold)
+/// against the accepting bins' rank index: a contact is accepted iff
+/// its load is below `bound`. `refusing` counts the dead and draining
+/// bins and `slow_p` is the slow share of the accepting ones.
+/// `Ok(samples)` placed a ball (already promoted in `accept`);
+/// `Err(samples)` exhausted the probe budget.
 ///
 /// Each contact is one exact draw `r` uniform on `[0, refusing +
 /// accepting)`. `r < refusing` is a dead or draining bin: the contact
 /// costs a sample and is refused. Otherwise `rank = r − refusing` is a
-/// uniform accepting bin, identified by its position in ascending-load
-/// order — the same law as drawing a uniform fleet bin and then its
-/// class. The family decides in rank space, where load is monotone in
-/// rank: `Below(t)` accepts iff `rank` falls among the
-/// [`RankIndex::open_below`]`(t)` lowest, and `LeastOf(d)` keeps the
-/// minimum rank, whose class is the minimum class. Only the placed ball
-/// maps its rank to a load ([`RankIndex::load_at_rank`], O(log span))
-/// and promotes it ([`RankIndex::promote_one`], one decrement), so a
-/// contact is O(1) and a placement O(log span).
-fn place_attempt<R: Rng64 + ?Sized>(
+/// uniform accepting bin in ascending-load order — the same law as
+/// drawing a uniform fleet bin and then its class — and, load being
+/// monotone in rank, it is below the bound iff `rank` falls among the
+/// [`RankIndex::open_below`]`(bound)` lowest. Only the placed ball maps
+/// its rank to a load ([`RankIndex::load_at_rank`], O(log span)) and
+/// promotes it ([`RankIndex::promote_one`], one decrement).
+fn place_below<R: Rng64 + ?Sized>(
     accept: &mut RankIndex,
     refusing: u64,
-    slow: u64,
-    style: Style,
+    bound: u32,
+    slow_p: f64,
     budget: u64,
     rng: &mut R,
 ) -> Result<u64, u64> {
-    let accept_n = accept.n();
-    if accept_n == 0 {
-        // Nothing can accept: every contact until the budget is wasted.
-        return Err(budget);
-    }
-    let open = match style {
-        Style::Below(t) => accept.open_below(t),
-        Style::Uniform | Style::LeastOf(_) => accept_n,
-    };
-    let slow_p = slow as f64 / accept_n as f64;
+    let fleet = refusing + accept.n();
+    let open = accept.open_below(bound);
     let mut samples = 0u64;
-    let mut best = u64::MAX;
-    let mut found = 0u32;
     while samples < budget {
-        let r = rng.range_u64(refusing + accept_n);
+        let r = rng.range_u64(fleet);
         if r < refusing {
             samples += 1;
             continue;
         }
-        let rank = r - refusing;
-        // Slow bins are exchangeable within the accepting class: the
-        // contact is slow with probability slow/accept_n, independent of
-        // its load, and then costs one extra sample.
-        samples += if slow > 0 && rng.bernoulli(slow_p) {
+        // Slowness is independent of load: one extra sample.
+        samples += if slow_p > 0.0 && rng.bernoulli(slow_p) {
             2
         } else {
             1
         };
-        let chosen = match style {
-            Style::Uniform => rank,
-            Style::Below(_) if rank < open => rank,
-            Style::Below(_) => continue,
-            Style::LeastOf(d) => {
-                best = best.min(rank);
-                found += 1;
-                if found < d {
-                    continue;
-                }
-                best
-            }
-        };
-        accept.promote_one(accept.load_at_rank(chosen));
-        return Ok(samples);
+        let rank = r - refusing;
+        if rank < open {
+            accept.promote_one(accept.load_at_rank(rank));
+            return Ok(samples);
+        }
     }
     Err(samples)
 }
 
-/// A ball awaiting a retry: attempts so far and samples already spent.
-#[derive(Clone, Copy)]
-struct Pending {
+/// The history balls awaiting a retry share: failed attempts so far
+/// and samples already spent.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct History {
     attempts: u32,
     samples: u64,
 }
 
-struct Counters {
+/// The run's counters and its backoff ring. Attempts are booked here,
+/// one ball at a time or a whole group of equal history at once.
+struct Ledger<'a> {
     arrivals: u64,
     placed: u64,
     departed: u64,
@@ -621,6 +751,54 @@ struct Counters {
     in_system: u64,
     total_samples: u64,
     max_samples: u64,
+    /// Slot `tick % len` holds the `(history, balls)` groups due at
+    /// that tick, in the order they failed.
+    ring: Vec<Vec<(History, u64)>>,
+    retry: RetryPolicy,
+    latency: Option<&'a mut LatencyTail>,
+}
+
+impl Ledger<'_> {
+    /// Books `balls` balls of history `h` that each placed after
+    /// `spent` more samples.
+    fn book_placed(&mut self, h: History, spent: u64, balls: u64, fallback: bool) {
+        let samples = h.samples + spent;
+        self.total_samples += spent * balls;
+        self.max_samples = self.max_samples.max(samples);
+        self.placed += balls;
+        self.in_system += balls;
+        if fallback {
+            self.fallbacks += balls;
+        }
+        if let Some(lat) = self.latency.as_deref_mut() {
+            lat.record_n(samples, balls);
+        }
+    }
+
+    /// Books `balls` balls of history `h` that each failed an attempt
+    /// at `tick` after `spent` more samples: shed once out of attempts,
+    /// otherwise due again after `min(2^(attempts−1), backoff_cap)`
+    /// ticks. A group joins the slot's last one when their histories
+    /// match, so the slot keeps the failure order of single balls.
+    fn book_failed(&mut self, h: History, spent: u64, balls: u64, tick: u64) {
+        let h = History {
+            attempts: h.attempts + 1,
+            samples: h.samples + spent,
+        };
+        self.total_samples += spent * balls;
+        self.max_samples = self.max_samples.max(h.samples);
+        if h.attempts >= self.retry.retry_budget {
+            self.shed += balls;
+            return;
+        }
+        let delay = (1u64 << (h.attempts - 1).min(31)).min(self.retry.backoff_cap.max(1) as u64);
+        let len = self.ring.len() as u64;
+        let slot = &mut self.ring[((tick + delay) % len) as usize];
+        match slot.last_mut() {
+            Some((last, count)) if *last == h => *count += balls,
+            _ => slot.push((h, balls)),
+        }
+    }
 }
 
 /// The collapsed serial stream driver. `series`/`latency` are optional
@@ -631,7 +809,7 @@ fn drive<R: Rng64 + ?Sized>(
     cfg: &RunConfig,
     rng: &mut R,
     mut series: Option<&mut Vec<TickStats>>,
-    mut latency: Option<&mut LatencyTail>,
+    latency: Option<&mut LatencyTail>,
 ) -> Outcome {
     assert!(cfg.n > 0, "stream: need at least one bin");
     assert!(spec.ticks > 0, "stream: need at least one tick");
@@ -653,7 +831,8 @@ fn drive<R: Rng64 + ?Sized>(
     let n_total = cfg.n as u64;
     let budget = retry.probe_budget as u64;
     let mut classes = Classes::fresh(cfg.n);
-    let mut c = Counters {
+    let ring_len = retry.backoff_cap.max(1) as usize + 1;
+    let mut c = Ledger {
         arrivals: 0,
         placed: 0,
         departed: 0,
@@ -662,77 +841,68 @@ fn drive<R: Rng64 + ?Sized>(
         in_system: 0,
         total_samples: 0,
         max_samples: 0,
+        ring: vec![Vec::new(); ring_len],
+        retry,
+        latency,
     };
-
-    // Backoff ring: slot (tick % len) holds the balls due at that tick.
-    let ring_len = retry.backoff_cap.max(1) as usize + 1;
-    let mut ring: Vec<Vec<Pending>> = vec![Vec::new(); ring_len];
 
     for tick in 0..spec.ticks {
         apply_faults(&mut classes, &spec.faults, tick);
-        // Health and bin counts hold still until the departures, so the
-        // tick's placements run on one rank index of the accepting bins.
-        let mut accept = RankIndex::build(&classes.accept);
-        let accept_n = accept.n();
+        // Health and bin counts hold still until the departures.
+        let accept_n = classes.accept.n();
         let refusing = classes.dead.n() + classes.drain.n();
         let fallback = !matches!(family, Family::OneChoice)
             && (accept_n as f64) < retry.fallback_alive_frac * n_total as f64;
 
         // Due retries first (they have been waiting), then arrivals.
-        let due = std::mem::take(&mut ring[(tick % ring_len as u64) as usize]);
+        let due = std::mem::take(&mut c.ring[(tick % ring_len as u64) as usize]);
         let arrivals = arrival_count(cfg.m, spec.ticks, tick, spec.poisson, rng);
         c.arrivals += arrivals;
+        let groups = due
+            .into_iter()
+            .chain((arrivals > 0).then_some((History::default(), arrivals)));
 
-        let balls = due.into_iter().chain(std::iter::repeat_n(
-            Pending {
-                attempts: 0,
-                samples: 0,
-            },
-            arrivals as usize,
-        ));
-        for mut ball in balls {
-            let style = if accept_n == 0 || fallback {
-                Style::Uniform
-            } else {
-                match family {
-                    Family::OneChoice => Style::Uniform,
-                    Family::Greedy(d) => Style::LeastOf(d.max(1)),
-                    Family::Adaptive => Style::Below(fair_share_bound(c.in_system + 1, accept_n)),
-                    Family::Threshold => Style::Below(fair_share_bound(cfg.m, accept_n)),
-                }
-            };
-            match place_attempt(&mut accept, refusing, classes.slow, style, budget, rng) {
-                Ok(samples) => {
-                    ball.samples += samples;
-                    c.total_samples += samples;
-                    c.placed += 1;
-                    c.in_system += 1;
-                    c.max_samples = c.max_samples.max(ball.samples);
-                    if fallback {
-                        c.fallbacks += 1;
-                    }
-                    if let Some(lat) = latency.as_deref_mut() {
-                        lat.record(ball.samples);
-                    }
-                }
-                Err(samples) => {
-                    ball.samples += samples;
-                    c.total_samples += samples;
-                    ball.attempts += 1;
-                    c.max_samples = c.max_samples.max(ball.samples);
-                    if ball.attempts >= retry.retry_budget {
-                        c.shed += 1;
+        let least_of = match family {
+            _ if accept_n == 0 || fallback => Some(1),
+            Family::OneChoice => Some(1),
+            Family::Greedy(d) => Some(d.max(1)),
+            Family::Adaptive | Family::Threshold => None,
+        };
+        if let Some(d) = least_of {
+            // Load-blind: price every group on the tick's attempt law,
+            // then place the tick's successes.
+            let law = AttemptLaw::new(refusing, accept_n, classes.slow, d, budget);
+            let before = c.placed;
+            for (h, balls) in groups {
+                law.split(balls, rng, |cell, k| {
+                    if cell.placed {
+                        c.book_placed(h, cell.samples, k, fallback);
                     } else {
-                        let delay = (1u64 << (ball.attempts - 1).min(31))
-                            .min(retry.backoff_cap.max(1) as u64);
-                        let slot = ((tick + delay) % ring_len as u64) as usize;
-                        ring[slot].push(ball);
+                        c.book_failed(h, cell.samples, k, tick);
+                    }
+                });
+            }
+            if c.placed > before {
+                place_least_of_d(&mut classes.accept, d, c.placed - before, rng);
+            }
+        } else {
+            // Below the bound: one ball, one contact at a time.
+            let mut accept = RankIndex::build(&classes.accept);
+            let slow_p = classes.slow as f64 / accept_n as f64;
+            for (h, balls) in groups {
+                for _ in 0..balls {
+                    let bound = match family {
+                        Family::Adaptive => fair_share_bound(c.in_system + 1, accept_n),
+                        _ => fair_share_bound(cfg.m, accept_n),
+                    };
+                    match place_below(&mut accept, refusing, bound, slow_p, budget, rng) {
+                        Ok(spent) => c.book_placed(h, spent, 1, false),
+                        Err(spent) => c.book_failed(h, spent, 1, tick),
                     }
                 }
             }
+            accept.write_back(&mut classes.accept);
         }
-
-        accept.write_back(&mut classes.accept);
 
         // Churn: the downward split. Draining bins keep departing;
         // dead bins are frozen.
@@ -769,10 +939,12 @@ fn drive<R: Rng64 + ?Sized>(
 
     // Balls still waiting for a retry slot when the run ends are shed
     // (their samples are already accounted).
-    for slot in &mut ring {
-        c.shed += slot.len() as u64;
-        slot.clear();
-    }
+    c.shed += c
+        .ring
+        .iter()
+        .flatten()
+        .map(|&(_, balls)| balls)
+        .sum::<u64>();
 
     // Merge the health classes back into one fleet histogram.
     let mut merged = classes.accept.clone();
@@ -1024,12 +1196,23 @@ mod tests {
         }
     }
 
+    /// The acceptance rule of the one-attempt oracle.
+    #[derive(Clone, Copy, Debug)]
+    enum Rule {
+        /// First accepting contact wins.
+        Uniform,
+        /// Accept a contact iff its load is below the bound.
+        Below(u32),
+        /// Least loaded of `d` accepting contacts.
+        LeastOf(u32),
+    }
+
     /// Exact law of one attempt on the oracle fixture, by a DP over
     /// (samples, accepting contacts found, least class so far) that
     /// draws a bin's health, slowness and class the way the process
     /// defines them. Cells are `(landing class, samples)`, `None` for
     /// an exhausted budget.
-    fn oracle_law(style: Style) -> BTreeMap<(Option<u32>, u64), f64> {
+    fn oracle_law(rule: Rule) -> BTreeMap<(Option<u32>, u64), f64> {
         let accept: u64 = ORACLE_ACCEPT.iter().map(|&(_, c)| c).sum();
         let total = (accept + ORACLE_DEAD + ORACLE_DRAIN) as f64;
         let slow = ORACLE_SLOW as f64 / accept as f64;
@@ -1049,10 +1232,10 @@ mod tests {
                     let q = p * pc * c as f64 / total;
                     let s = s + cost;
                     let (found, best) = (found + 1, best.map_or(l, |b| b.min(l)));
-                    let landed = match style {
-                        Style::Uniform => Some(l),
-                        Style::Below(t) => (l < t).then_some(l),
-                        Style::LeastOf(d) => (found >= d).then_some(best),
+                    let landed = match rule {
+                        Rule::Uniform => Some(l),
+                        Rule::Below(t) => (l < t).then_some(l),
+                        Rule::LeastOf(d) => (found >= d).then_some(best),
                     };
                     match landed {
                         Some(l) => *law.entry((Some(l), s)).or_insert(0.0) += q,
@@ -1064,31 +1247,73 @@ mod tests {
         law
     }
 
+    /// The driver's attempt law on the oracle fixture for a load-blind
+    /// rule that places after `d` accepting contacts.
+    fn fixture_law(d: u32) -> AttemptLaw {
+        let c = oracle_classes();
+        AttemptLaw::new(
+            c.dead.n() + c.drain.n(),
+            c.accept.n(),
+            c.slow,
+            d,
+            ORACLE_BUDGET,
+        )
+    }
+
+    /// The single cell one attempt lands in under `law`.
+    fn one_attempt<R: Rng64 + ?Sized>(law: &AttemptLaw, rng: &mut R) -> Attempt {
+        let mut got = None;
+        law.split(1, rng, |cell, k| {
+            assert_eq!(k, 1);
+            got = Some(cell);
+        });
+        got.expect("one attempt lands in one cell")
+    }
+
     #[test]
     fn one_attempt_matches_exact_law() {
         use bib_analysis::chisq::chi_square_gof;
         const ATTEMPTS: u64 = 100_000;
-        for (i, style) in [Style::Uniform, Style::Below(2), Style::LeastOf(2)]
+        for (i, rule) in [Rule::Uniform, Rule::Below(2), Rule::LeastOf(2)]
             .into_iter()
             .enumerate()
         {
-            let law = oracle_law(style);
+            let law = oracle_law(rule);
             assert!((law.values().sum::<f64>() - 1.0).abs() < 1e-12);
+            let blind = match rule {
+                Rule::Uniform => Some(1),
+                Rule::LeastOf(d) => Some(d),
+                Rule::Below(_) => None,
+            }
+            .map(|d| (d, fixture_law(d)));
             let mut rng = SeedSequence::new(31).child(i as u64).rng();
             let mut tally: BTreeMap<(Option<u32>, u64), u64> = BTreeMap::new();
             for _ in 0..ATTEMPTS {
                 let mut classes = oracle_classes();
-                let mut accept = RankIndex::build(&classes.accept);
                 let refusing = classes.dead.n() + classes.drain.n();
-                let placed = place_attempt(
-                    &mut accept,
-                    refusing,
-                    classes.slow,
-                    style,
-                    ORACLE_BUDGET,
-                    &mut rng,
-                );
-                accept.write_back(&mut classes.accept);
+                // Load-blind rules: the attempt's law, then the
+                // least-of-d rank chain; `Below` runs its contact chain.
+                let placed = match rule {
+                    Rule::Below(t) => {
+                        let mut accept = RankIndex::build(&classes.accept);
+                        let slow_p = classes.slow as f64 / accept.n() as f64;
+                        let placed =
+                            place_below(&mut accept, refusing, t, slow_p, ORACLE_BUDGET, &mut rng);
+                        accept.write_back(&mut classes.accept);
+                        placed
+                    }
+                    Rule::Uniform | Rule::LeastOf(_) => {
+                        let (d, attempt_law) =
+                            blind.as_ref().expect("a load-blind rule has its law");
+                        let attempt = one_attempt(attempt_law, &mut rng);
+                        if attempt.placed {
+                            place_least_of_d(&mut classes.accept, *d, 1, &mut rng);
+                            Ok(attempt.samples)
+                        } else {
+                            Err(attempt.samples)
+                        }
+                    }
+                };
                 let cell = match placed {
                     Ok(samples) => {
                         // The landing class is the one that lost a bin.
@@ -1103,7 +1328,7 @@ mod tests {
                 *tally.entry(cell).or_insert(0) += 1;
             }
             for cell in tally.keys() {
-                assert!(law.contains_key(cell), "{i}: impossible cell {cell:?}");
+                assert!(law.contains_key(cell), "{rule:?}: impossible cell {cell:?}");
             }
             let observed: Vec<u64> = law
                 .keys()
@@ -1111,7 +1336,83 @@ mod tests {
                 .collect();
             let probs: Vec<f64> = law.values().copied().collect();
             let gof = chi_square_gof(&observed, &probs, 0, 5.0);
-            assert!(gof.p_value > 1e-4, "style {i}: {gof:?}");
+            assert!(gof.p_value > 1e-4, "{rule:?}: {gof:?}");
+        }
+    }
+
+    #[test]
+    fn group_split_matches_exact_law_marginals() {
+        // One retry group of 10⁵ balls split over the attempt law is one
+        // multinomial draw: its cell counts against the oracle's
+        // (placed, samples) marginals.
+        use bib_analysis::chisq::chi_square_gof;
+        const BALLS: u64 = 100_000;
+        for (i, (rule, d)) in [
+            (Rule::Uniform, 1),
+            (Rule::LeastOf(2), 2),
+            (Rule::LeastOf(3), 3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut marginal: BTreeMap<Attempt, f64> = BTreeMap::new();
+            for ((landed, samples), p) in oracle_law(rule) {
+                let cell = Attempt {
+                    placed: landed.is_some(),
+                    samples,
+                };
+                *marginal.entry(cell).or_insert(0.0) += p;
+            }
+            let mut rng = SeedSequence::new(37).child(i as u64).rng();
+            let mut tally: BTreeMap<Attempt, u64> = BTreeMap::new();
+            fixture_law(d).split(BALLS, &mut rng, |cell, k| {
+                assert!(tally.insert(cell, k).is_none(), "{rule:?}: {cell:?} twice");
+            });
+            assert_eq!(tally.values().sum::<u64>(), BALLS);
+            for cell in tally.keys() {
+                assert!(
+                    marginal.contains_key(cell),
+                    "{rule:?}: impossible cell {cell:?}"
+                );
+            }
+            let observed: Vec<u64> = marginal
+                .keys()
+                .map(|k| tally.get(k).copied().unwrap_or(0))
+                .collect();
+            let probs: Vec<f64> = marginal.values().copied().collect();
+            let gof = chi_square_gof(&observed, &probs, 0, 5.0);
+            assert!(gof.p_value > 1e-4, "{rule:?}: {gof:?}");
+        }
+    }
+
+    #[test]
+    fn attempt_law_without_refusals_or_slow_bins_is_one_cell() {
+        // No refusals and no slow bins: every attempt places after `d`
+        // samples. Nothing accepting: every attempt fails after the
+        // budget. Either way the whole group lands in one cell without
+        // a draw, however large the budget.
+        let cases = [
+            (AttemptLaw::new(0, 1_000, 0, 1, 8), true, 1),
+            (AttemptLaw::new(0, 1_000, 0, 5, 8), true, 5),
+            (
+                AttemptLaw::new(0, 1_000, 0, 2, u64::from(u32::MAX)),
+                true,
+                2,
+            ),
+            (AttemptLaw::new(500, 0, 0, 1, 8), false, 8),
+            (
+                AttemptLaw::new(500, 0, 0, 2, u64::from(u32::MAX)),
+                false,
+                u64::from(u32::MAX),
+            ),
+        ];
+        for (law, placed, samples) in cases {
+            let mut rng = SeedSequence::new(1).rng();
+            let mut probe = rng;
+            let mut cells = Vec::new();
+            law.split(12_345, &mut rng, |cell, k| cells.push((cell, k)));
+            assert_eq!(cells, vec![(Attempt { placed, samples }, 12_345)]);
+            assert_eq!(rng.next_u64(), probe.next_u64(), "the split drew");
         }
     }
 
@@ -1125,5 +1426,19 @@ mod tests {
         assert_eq!(t.quantile(0.5), 2);
         assert_eq!(t.quantile(0.99), 64); // saturating cell
         assert_eq!(LatencyTail::new().quantile(0.5), 0);
+        // `record_n(s, k)` is `k` calls of `record(s)`.
+        let mut one_by_one = LatencyTail::new();
+        let mut grouped = LatencyTail::new();
+        for (s, k) in [(1u64, 5u64), (3, 2), (70, 4), (2, 0), (8, 9)] {
+            for _ in 0..k {
+                one_by_one.record(s);
+            }
+            grouped.record_n(s, k);
+        }
+        assert_eq!(grouped, one_by_one);
+        assert_eq!(grouped.count(), 20);
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            assert_eq!(grouped.quantile(q), one_by_one.quantile(q), "q = {q}");
+        }
     }
 }
