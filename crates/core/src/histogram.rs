@@ -48,8 +48,9 @@
 //! least loaded of `d` uniform samples is the class containing the
 //! minimum of `d` uniform *ranks* — an exact per-ball chain that finally
 //! makes `greedy` runnable at `m = n²` scale. It runs on a [`RankIndex`]
-//! (cumulative class counts), so mapping the least rank to its class is
-//! an `O(log #levels)` search, not a walk over the levels. `one-choice`
+//! (cumulative class counts with a bucket guide table), so mapping the
+//! least rank to its class is one guide lookup and a short forward walk,
+//! expected O(1), not a walk over the levels. `one-choice`
 //! is the `t = ∞` threshold rule (no bin ever closes, so a round keeps
 //! every hit it processes).
 //!
@@ -93,7 +94,6 @@ use crate::protocol::{Observer, Outcome, RunConfig};
 use crate::scenario::Scenario;
 use bib_rng::dist::{ln_factorial, BinomialSampler, Distribution, GeometricSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
-use std::collections::VecDeque;
 
 /// Below this many remaining balls a batched round stops paying for its
 /// fixed `O(#levels)` cost and the exact per-ball tail takes over.
@@ -464,25 +464,51 @@ impl Eq for OccupancyHistogram {}
 
 /// A cumulative-count index over an [`OccupancyHistogram`] for the
 /// per-ball class chains (the serve driver's placements and
-/// [`place_least_of_d`]). `cum[i]` is the number of bins with load
-/// `≤ base + i` over the live span, so the last entry is `n`.
+/// [`place_least_of_d`]). Over the live span, `cum[start + i]` is the
+/// number of bins with load `≤ base + i`, so the last entry is `n`.
 ///
 /// Those chains draw a uniform *rank* in ascending-load order and move
 /// the bin holding it up one level. On the index, the rank → load map
-/// is a binary search over `cum` (O(log span)) instead of a walk over
-/// the classes, `open_below(t)` is one lookup, and a one-level promote
-/// is one decrement: the moved bin crosses exactly one class boundary. Build the index from a
+/// inverts `cum` through a bucket guide table (Chen & Asau 1974;
+/// Devroye 1986, §III.2.4): ranks fall in buckets of width `2^shift`,
+/// about `n / (2 · span)`, and `guide[j]` is the first level whose
+/// cumulative count exceeds the bucket's first rank. A
+/// lookup is one shift, one load and a forward walk over the level
+/// boundaries inside the bucket, expected O(1). `open_below(t)` is one
+/// lookup, and a one-level promote is one decrement (the moved bin
+/// crosses exactly one class boundary) plus one guide write when that
+/// boundary lands on a bucket edge.
+///
+/// Emptied bottom levels are dropped by amortized compaction, and the
+/// guide is re-sized whenever the span outgrows twice the span it was
+/// sized for, so both arrays stay within a small multiple of the live
+/// span however far a long chain slides it. Build the index from a
 /// histogram ([`RankIndex::build`]), run the chain on it, and write it
 /// back ([`RankIndex::write_back`]) before anything else touches the
 /// histogram; both ends are O(span).
 #[derive(Debug, Clone)]
 pub struct RankIndex {
-    /// `cum[i]` = number of bins with load `≤ base + i`; `cum[0] > 0`
-    /// and the last entry is `n` whenever `n > 0`.
-    cum: VecDeque<u64>,
+    /// `cum[start + i]` = number of bins with load `≤ base + i`;
+    /// `cum[start] > 0` and the last entry is `n` whenever `n > 0`.
+    /// The levels below `start` are emptied and wait for compaction.
+    cum: Vec<u64>,
+    start: usize,
     base: u32,
     n: u64,
+    /// Bucket `j` holds the ranks `[j << shift, (j + 1) << shift)`.
+    shift: u32,
+    /// `guide[j]` indexes the first level of `cum` whose cumulative
+    /// count exceeds `j << shift`; one entry per bucket that holds a
+    /// rank below `n`.
+    guide: Vec<usize>,
+    /// The span the guide was sized for.
+    sized_for: usize,
 }
+
+/// The fewest emptied bottom levels a compaction drops: compacting at
+/// every emptied level would shift the array once per level on a long
+/// slide of a narrow span.
+const RANK_INDEX_SLACK: usize = 32;
 
 impl RankIndex {
     /// Indexes `hist` over its live span `[min_load, max_load]`. A
@@ -504,10 +530,41 @@ impl RankIndex {
             })
             .collect();
         let lead = u32::try_from(lead).expect("the span fits the u32 load range");
-        Self {
+        let mut index = Self {
             cum,
+            start: 0,
             base: hist.base + lead,
             n: hist.n,
+            shift: 0,
+            guide: Vec::new(),
+            sized_for: 0,
+        };
+        index.reindex();
+        index
+    }
+
+    /// Drops the emptied bottom levels and rebuilds the guide, sized for
+    /// the live span: O(span).
+    fn reindex(&mut self) {
+        self.cum.drain(..self.start);
+        self.start = 0;
+        self.sized_for = self.cum.len();
+        self.guide.clear();
+        if self.n == 0 {
+            return;
+        }
+        // The largest power of two not above n / (2 · span), and at
+        // least 1.
+        let width = (self.n / (2 * self.sized_for as u64)).max(1);
+        self.shift = width.ilog2();
+        let buckets = ((self.n - 1) >> self.shift) + 1;
+        let mut i = 0;
+        for j in 0..buckets {
+            let first = j << self.shift;
+            while self.cum[i] <= first {
+                i += 1;
+            }
+            self.guide.push(i);
         }
     }
 
@@ -517,7 +574,7 @@ impl RankIndex {
         debug_assert_eq!(hist.n, self.n, "write_back: another histogram");
         let mut below = 0u64;
         hist.counts.clear();
-        hist.counts.extend(self.cum.iter().map(|&c| {
+        hist.counts.extend(self.cum[self.start..].iter().map(|&c| {
             let count = c - below;
             below = c;
             count
@@ -535,9 +592,11 @@ impl RankIndex {
     /// whose cumulative count is `≤ r`. Panics unless `r < n`.
     pub fn load_at_rank(&self, r: u64) -> u32 {
         assert!(r < self.n, "load_at_rank: rank {r} of {} bins", self.n);
-        self.base
-            + u32::try_from(self.cum.partition_point(|&c| c <= r))
-                .expect("the span fits the u32 load range")
+        let mut i = self.guide[(r >> self.shift) as usize];
+        while self.cum[i] <= r {
+            i += 1;
+        }
+        self.base + u32::try_from(i - self.start).expect("the span fits the u32 load range")
     }
 
     /// Number of bins with load strictly below `t`, in one lookup.
@@ -546,27 +605,42 @@ impl RankIndex {
             return 0;
         }
         self.cum
-            .get((t - 1 - self.base) as usize)
+            .get(self.start + (t - 1 - self.base) as usize)
             .copied()
             .unwrap_or(self.n)
     }
 
     /// Moves one bin from load `l` up one level: only the count of bins
     /// with load `≤ l` changes. Grows the span by one level at the top
-    /// and trims an emptied bottom level.
+    /// and drops an emptied bottom level.
     pub fn promote_one(&mut self, l: u32) {
-        let i = (l - self.base) as usize;
+        let i = self.start + (l - self.base) as usize;
         if cfg!(debug_assertions) {
-            let below = if i == 0 { 0 } else { self.cum[i - 1] };
+            let below = if i == self.start { 0 } else { self.cum[i - 1] };
             assert!(self.cum[i] > below, "promote_one: class {l} is empty");
         }
+        // A top level outgrowing twice the span the guide was sized
+        // for, or as many emptied levels as live ones, calls for a
+        // reindex once the promote is done.
+        let mut stale = false;
         if i + 1 == self.cum.len() {
-            self.cum.push_back(self.n);
+            self.cum.push(self.n);
+            stale = self.cum.len() - self.start > 2 * self.sized_for;
         }
         self.cum[i] -= 1;
-        if self.cum[0] == 0 {
-            self.cum.pop_front();
+        let c = self.cum[i];
+        // Rank `c` moved up to level `i + 1`: when it opens a bucket,
+        // that level is now the bucket's first.
+        if c & ((1 << self.shift) - 1) == 0 {
+            self.guide[(c >> self.shift) as usize] = i + 1;
+        }
+        if c == 0 {
+            self.start += 1;
             self.base += 1;
+            stale |= self.start >= (self.cum.len() - self.start).max(RANK_INDEX_SLACK);
+        }
+        if stale {
+            self.reindex();
         }
     }
 }
@@ -1473,7 +1547,7 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
 /// uniform ranks; within the class the receiving bin is exchangeable,
 /// and both tie-break rules collapse to the same class choice. The
 /// chain runs on a [`RankIndex`], so a ball costs its `d` rank draws
-/// plus one O(log span) rank → load search and one decrement.
+/// plus one expected O(1) rank → load lookup and one decrement.
 pub fn place_least_of_d<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     d: u32,
@@ -1865,41 +1939,6 @@ mod tests {
         }
     }
 
-    /// Runs `k` one-level promotes of rank-drawn bins on an index of
-    /// `h` and on a clone through [`OccupancyHistogram::promote`],
-    /// checking every rank after every step and the written-back
-    /// histogram at the end.
-    fn assert_promotes_agree(h: &OccupancyHistogram, k: usize, mut rank: impl FnMut(u64) -> u64) {
-        let mut index = RankIndex::build(h);
-        let mut reference = h.clone();
-        for step in 0..k {
-            let l = index.load_at_rank(rank(h.n()));
-            index.promote_one(l);
-            reference.promote(l, 1, 1);
-            for (r, &load) in reference.to_sorted_loads().iter().enumerate() {
-                assert_eq!(index.load_at_rank(r as u64), load, "step {step}, rank {r}");
-            }
-        }
-        let mut back = h.clone();
-        index.write_back(&mut back);
-        back.check_invariants();
-        assert_eq!(back, reference);
-        assert_eq!(back.to_sorted_loads(), reference.to_sorted_loads());
-        assert_eq!(
-            (back.min_load(), back.max_load()),
-            (reference.min_load(), reference.max_load())
-        );
-        // The written-back storage keeps working under every primitive.
-        for h in [&mut back, &mut reference] {
-            let hi = h.max_load();
-            h.promote(hi, 1, 3);
-            h.demote(hi + 3, 1, hi + 3);
-            h.add_bins(hi + 1, 2);
-            h.promote(h.min_load(), 1, 1);
-        }
-        assert_eq!(back, reference);
-    }
-
     #[test]
     fn rank_index_promote_one_matches_promote() {
         for seed in 0..60u64 {
@@ -1910,20 +1949,192 @@ mod tests {
                 .collect();
             let h = OccupancyHistogram::from_loads(&loads);
             let k = rng.range_u64(80) as usize;
-            assert_promotes_agree(&h, k, |n| rng.range_u64(n));
+            drive_rank_index(&h, k, 1, seed, |n, rng| rng.range_u64(n));
         }
         // The top class grows the span; the lowest rank empties the
         // bottom class.
         let h = OccupancyHistogram::from_loads(&[2, 2, 3, 7]);
-        assert_promotes_agree(&h, 12, |n| n - 1);
-        assert_promotes_agree(&h, 12, |_| 0);
+        drive_rank_index(&h, 12, 1, 0, |n, _| n - 1);
+        drive_rank_index(&h, 12, 1, 0, |_, _| 0);
         // A one-bin class at each end, and n = 1 (every promote both
         // grows the top and empties the bottom).
         let h = OccupancyHistogram::from_loads(&[0, 5, 5, 5, 9]);
-        assert_promotes_agree(&h, 6, |_| 0);
-        assert_promotes_agree(&h, 6, |n| n - 1);
-        assert_promotes_agree(&OccupancyHistogram::new(1), 50, |_| 0);
-        assert_promotes_agree(&OccupancyHistogram::from_loads(&[1_000]), 5, |_| 0);
+        drive_rank_index(&h, 6, 1, 0, |_, _| 0);
+        drive_rank_index(&h, 6, 1, 0, |n, _| n - 1);
+        drive_rank_index(&OccupancyHistogram::new(1), 50, 1, 0, |_, _| 0);
+        drive_rank_index(&OccupancyHistogram::from_loads(&[1_000]), 5, 1, 0, |_, _| 0);
+    }
+
+    /// Checks `index` against `reference`, the same classes kept as an
+    /// [`OccupancyHistogram`]: the rank → load map (every rank up to
+    /// 4096 bins; beyond, 2000 random ranks plus both edges of every
+    /// class), `open_below`, the written-back histogram, the guide
+    /// (exact for every bucket) and the storage bounds.
+    fn assert_index_matches(
+        index: &RankIndex,
+        reference: &OccupancyHistogram,
+        built_from: &OccupancyHistogram,
+        rng: &mut SplitMix64,
+    ) {
+        let sorted = reference.to_sorted_loads();
+        let n = reference.n();
+        if n <= 4096 {
+            for (r, &load) in sorted.iter().enumerate() {
+                assert_eq!(index.load_at_rank(r as u64), load, "rank {r} of {n}");
+            }
+        } else {
+            let mut ranks: Vec<u64> = (0..2000).map(|_| rng.range_u64(n)).collect();
+            let mut below = 0;
+            for (_, c) in reference.levels().filter(|&(_, c)| c > 0) {
+                ranks.extend([below, below + c - 1]);
+                below += c;
+            }
+            for r in ranks {
+                assert_eq!(index.load_at_rank(r), sorted[r as usize], "rank {r} of {n}");
+            }
+        }
+        // `open_below` at every bound around the span against a running
+        // count of the reference's classes, and against its `open_bins`
+        // at each class load and both ends.
+        let (lo, hi) = (reference.min_load(), reference.max_load());
+        let (mut below, mut classes) = (0, reference.levels().peekable());
+        for t in lo.saturating_sub(2)..=hi + 2 {
+            while let Some((_, c)) = classes.next_if(|&(l, _)| l < t) {
+                below += c;
+            }
+            assert_eq!(index.open_below(t), below, "t {t}");
+        }
+        for t in reference
+            .levels()
+            .map(|(l, _)| l)
+            .chain([lo.saturating_sub(2), hi + 2])
+        {
+            assert_eq!(index.open_below(t), reference.open_bins(Some(t)), "t {t}");
+        }
+        let mut back = built_from.clone();
+        index.write_back(&mut back);
+        back.check_invariants();
+        assert_eq!(&back, reference);
+        assert_eq!((back.min_load(), back.max_load()), (lo, hi));
+
+        let mut first = index.start;
+        for (j, &g) in index.guide.iter().enumerate() {
+            while index.cum[first] <= (j as u64) << index.shift {
+                first += 1;
+            }
+            assert_eq!(g, first, "guide entry {j}");
+        }
+        assert_eq!(index.guide.len() as u64, ((n - 1) >> index.shift) + 1);
+        let span = index.cum.len() - index.start;
+        assert_eq!(span as u32, hi - lo + 1);
+        let room = span.max(RANK_INDEX_SLACK);
+        assert!(
+            index.cum.len() <= 2 * room,
+            "{} levels for a span of {span}",
+            index.cum.len()
+        );
+        assert!(
+            index.guide.len() <= 8 * room,
+            "{} buckets for a span of {span}",
+            index.guide.len()
+        );
+    }
+
+    /// Runs `steps` one-level promotes of the bins at the ranks `rank`
+    /// draws (given `n`) on an index of `h` and on a reference histogram,
+    /// checking the index every `batch` steps and the written-back
+    /// histogram under every primitive at the end; returns how far the
+    /// bottom of the span slid, in levels.
+    fn drive_rank_index(
+        h: &OccupancyHistogram,
+        steps: usize,
+        batch: usize,
+        seed: u64,
+        mut rank: impl FnMut(u64, &mut SplitMix64) -> u64,
+    ) -> u32 {
+        let mut rng = SplitMix64::new(seed);
+        let mut index = RankIndex::build(h);
+        let mut reference = h.clone();
+        assert_index_matches(&index, &reference, h, &mut rng);
+        for step in 1..=steps {
+            let l = index.load_at_rank(rank(h.n(), &mut rng));
+            index.promote_one(l);
+            reference.promote(l, 1, 1);
+            if step % batch == 0 || step == steps {
+                assert_index_matches(&index, &reference, h, &mut rng);
+            }
+        }
+        let slid = reference.min_load() - h.min_load();
+        // The written-back storage keeps working under every primitive.
+        let mut back = h.clone();
+        index.write_back(&mut back);
+        for h in [&mut back, &mut reference] {
+            let hi = h.max_load();
+            h.promote(hi, 1, 3);
+            h.demote(hi + 3, 1, hi + 3);
+            h.add_bins(hi + 1, 2);
+            h.promote(h.min_load(), 1, 1);
+        }
+        assert_eq!(back, reference);
+        slid
+    }
+
+    /// A mix of the chains' rank laws: uniform (one-choice), the least
+    /// of two (`greedy[2]`), the lowest rank (slides the span) and the
+    /// highest (widens it).
+    fn mixed_rank(n: u64, rng: &mut SplitMix64) -> u64 {
+        match rng.range_u64(8) {
+            0..=2 => rng.range_u64(n),
+            3..=5 => rng.range_u64(n).min(rng.range_u64(n)),
+            6 => 0,
+            _ => n - 1,
+        }
+    }
+
+    #[test]
+    fn rank_index_survives_long_promote_runs() {
+        // Tiny fleets, under the mixed law and under a pure slide.
+        for n in 1..=3usize {
+            let h = OccupancyHistogram::new(n);
+            drive_rank_index(&h, 4000, 40, n as u64, mixed_rank);
+            let slid = drive_rank_index(&h, 4000, 400, n as u64, |_, _| 0);
+            assert!(slid as usize >= 4000 / n - 1, "n = {n} slid {slid}");
+        }
+        // A power of two: the last bucket edge meets n.
+        let h = OccupancyHistogram::new(1024);
+        drive_rank_index(&h, 20_000, 1000, 7, mixed_rank);
+        drive_rank_index(&h, 5000, 500, 8, |n, _| n - 1);
+        // A large fleet: the guide re-sizes as the span widens from one
+        // level.
+        let h = OccupancyHistogram::new(100_000);
+        drive_rank_index(&h, 200_000, 25_000, 9, mixed_rank);
+        // Empty middle levels.
+        for loads in [&[0u32, 7][..], &[0, 0, 0, 7, 7]] {
+            let h = OccupancyHistogram::from_loads(loads);
+            drive_rank_index(&h, 300, 1, 10, mixed_rank);
+        }
+        // A span of over 400 levels, widened further from the top.
+        let mut rng = SplitMix64::new(11);
+        let mut loads: Vec<u32> = (0..62).map(|_| rng.range_u64(600) as u32).collect();
+        loads.extend([0, 599]);
+        let h = OccupancyHistogram::from_loads(&loads);
+        drive_rank_index(&h, 3000, 100, 12, mixed_rank);
+        // Slides of many times the build span: the emptied bottom levels
+        // are compacted away.
+        for (loads, steps) in [
+            (vec![5u32, 6, 7], 3000),
+            ((0..64).map(|b| b % 10).collect(), 20_000),
+        ] {
+            let h = OccupancyHistogram::from_loads(&loads);
+            let span = h.max_load() - h.min_load() + 1;
+            let slid = drive_rank_index(&h, steps, 500, 13, |n, rng| {
+                (0..4).map(|_| rng.range_u64(n)).min().unwrap()
+            });
+            assert!(
+                slid >= 10 * span,
+                "slid {slid} levels from a span of {span}"
+            );
+        }
     }
 
     /// Bin groups of a test round: `(classes as (load, bins), bound,

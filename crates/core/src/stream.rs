@@ -59,9 +59,9 @@
 //! below [`RankIndex::open_below`]. Those ticks run on one
 //! [`RankIndex`] of the accepting histogram, built after the tick's
 //! faults and written back before its departures: the open count is
-//! one lookup, the placed ball's rank → load map an O(log span) search
-//! and its promote one decrement, which keeps heavy per-bin loads
-//! (spans of hundreds of levels) cheap.
+//! one lookup, the placed ball's rank → load map one guide lookup and a
+//! short walk (expected O(1)) and its promote one decrement, which keeps
+//! heavy per-bin loads (spans of hundreds of levels) cheap.
 //!
 //! Balls waiting for a retry are kept as groups of equal history
 //! (failed attempts, samples spent) with a count, so a retry group is
@@ -698,7 +698,7 @@ impl AttemptLaw {
 /// drawing a uniform fleet bin and then its class — and, load being
 /// monotone in rank, it is below the bound iff `rank` falls among the
 /// [`RankIndex::open_below`]`(bound)` lowest. Only the placed ball maps
-/// its rank to a load ([`RankIndex::load_at_rank`], O(log span)) and
+/// its rank to a load ([`RankIndex::load_at_rank`], expected O(1)) and
 /// promotes it ([`RankIndex::promote_one`], one decrement).
 fn place_below<R: Rng64 + ?Sized>(
     accept: &mut RankIndex,
