@@ -1,12 +1,17 @@
 //! **E7 — Lemma 4.2**: at `m = n²`, `threshold`'s final distribution is
 //! rough: `Ψ = Ω(n^{9/8})`, gap `= Ω(n^{1/8})`, `Φ = 2^{Ω(n^{1/8})}`.
 //!
-//! Sweep `n` with `m = n²` (level-batched threshold column — exact on
-//! final loads; auto-resolved adaptive contrast) and report
+//! Sweep `n` with `m = n²` (both columns auto-resolved, which is the
+//! histogram engine at every full-size `n`) and report
 //! Ψ/n^{9/8}, gap/n^{1/8} and ln Φ/n^{1/8}.
 //! Lemma 4.2 predicts all three stay bounded *away from zero* as `n`
 //! grows; `adaptive` at the same `m = n²` is shown for contrast (its
 //! Ψ/n and gap stay flat — Corollary 3.5).
+//!
+//! The histogram engine is exact up to its two moment-matched sampler
+//! regimes (`split_binomial` above variance 4, `hypergeometric` above
+//! 8 draws), and ln Φ amplifies upper-tail load errors; `--engine
+//! faithful` reproduces the exact process.
 //!
 //! ```text
 //! cargo run --release -p bib-bench --bin lemma42 [-- --quick --csv --no-loads]
@@ -26,10 +31,8 @@ use bib_parallel::replicate_outcomes;
 
 fn main() {
     let args = ExpArgs::parse();
-    // 10× the pre-level-batched sweep: m = n² reaches 1.7 × 10⁹ balls at
-    // the top size. The threshold column — the lemma's subject — runs
-    // under the batched engine (group work, ~ms per run); the adaptive
-    // contrast is inherently per-ball and uses its fastest engine.
+    // m = n² reaches 1.7 × 10⁹ balls at the top size; both columns run
+    // on their measured-fastest engine (group work, ~ms per run).
     let ns: Vec<usize> = args.pick(vec![2560, 5120, 10240, 20480, 40960], vec![64, 128]);
     let reps = args.reps_or(10, 3);
 
@@ -46,32 +49,20 @@ fn main() {
     let mut ns_f = Vec::new();
     let mut psi_means = Vec::new();
     let mut gap_means = Vec::new();
+    // Both columns default to Engine::Auto (the histogram engine at every
+    // full-size n — see BENCH_engines.json). --no-loads pins the
+    // histogram engine (Auto may resolve to the dense faithful loop at
+    // small n) so the lazy assertion holds on every outcome.
+    let engine = args.engine_or(if args.no_loads {
+        Engine::Histogram
+    } else {
+        Engine::Auto
+    });
     for &n in &ns {
-        let m = (n as u64) * (n as u64);
-        // The threshold column feeds tail-exponential statistics
-        // (ln Φ amplifies upper-tail load errors), so it pins the
-        // level-batched engine — exact in distribution on final loads
-        // and still ~ms per run here. The adaptive contrast defaults to
-        // Engine::Auto (the histogram engine at these sizes — see
-        // BENCH_engines.json), which is what fixed its old default into
-        // the level-batched regression; its chi-square-bounded
-        // occupancy approximation is ample for the flat Ψ/n and gap
-        // columns, and `--engine faithful` reproduces the exact process
-        // when wanted.
-        // --no-loads re-pins both columns to the histogram engine
-        // (level-batched materializes eagerly, and Auto may resolve to
-        // a dense engine at small n) so the lazy assertion holds on
-        // every outcome.
-        let (thr_default, ada_default) = if args.no_loads {
-            (Engine::Histogram, Engine::Histogram)
-        } else {
-            (Engine::LevelBatched, Engine::Auto)
-        };
-        let thr_cfg = RunConfig::new(n, m).with_engine(args.engine_or(thr_default));
-        let ada_cfg = RunConfig::new(n, m).with_engine(args.engine_or(ada_default));
+        let cfg = RunConfig::new(n, (n as u64) * (n as u64)).with_engine(engine);
         let spec = args.replicate_spec(reps);
-        let thr = replicate_outcomes(&Threshold, &thr_cfg, &spec);
-        let ada = replicate_outcomes(&Adaptive::paper(), &ada_cfg, &spec);
+        let thr = replicate_outcomes(&Threshold, &cfg, &spec);
+        let ada = replicate_outcomes(&Adaptive::paper(), &cfg, &spec);
         for o in thr.iter().chain(ada.iter()) {
             args.assert_lazy(o, &format!("n={n}"));
         }

@@ -9,10 +9,9 @@
 //! * `--quick` — shrink sizes/replicates for a fast smoke run;
 //! * `--seed <u64>` — master seed (default 2013);
 //! * `--reps <u64>` — override the replicate count;
-//! * `--engine <faithful|level-batched|histogram|auto>` — override the
-//!   simulation engine (threshold-style protocols support all four;
-//!   `one-choice`/`greedy[d]` and the weighted family additionally
-//!   understand `histogram` and `auto`; `jump` parses as `faithful`);
+//! * `--engine <faithful|histogram|auto>` — override the simulation
+//!   engine (every engine-aware protocol understands all three; `jump`
+//!   and `level-batched` parse as `faithful`);
 //! * `--threads <n>` — worker threads across independent replicates
 //!   (default: machine parallelism; `1` forces serial execution). Every
 //!   run itself is single-threaded, so the thread count never changes a
@@ -120,7 +119,7 @@ impl ExpArgs {
                     out.engine = Some(
                         args.next()
                             .and_then(|v| v.parse().ok())
-                            .expect("--engine needs faithful, level-batched, histogram or auto"),
+                            .expect("--engine needs faithful, histogram or auto"),
                     );
                 }
                 "--threads" => {
@@ -138,7 +137,7 @@ impl ExpArgs {
                         panic!(
                             "unknown flag {other}; supported: --quick --csv --no-loads \
                              --seed <u64> --reps <u64> \
-                             --engine <faithful|level-batched|histogram|auto> \
+                             --engine <faithful|histogram|auto> \
                              --threads <n> --out <path>"
                         )
                     }
@@ -355,10 +354,10 @@ mod tests {
         assert!(a.threads.is_none());
         assert!(a.out.is_none());
         let e = ExpArgs {
-            engine: Some(Engine::LevelBatched),
+            engine: Some(Engine::Faithful),
             ..ExpArgs::new()
         };
-        assert_eq!(e.engine_or(Engine::Histogram), Engine::LevelBatched);
+        assert_eq!(e.engine_or(Engine::Histogram), Engine::Faithful);
         let q = ExpArgs {
             quick: true,
             ..ExpArgs::new()

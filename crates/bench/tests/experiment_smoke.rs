@@ -265,20 +265,19 @@ fn bench_json_smoke_writes_valid_json() {
         env!("CARGO_BIN_EXE_bench_json"),
         &["--smoke", "--out", path],
     );
-    assert!(echo.contains("level-batched"));
     assert!(echo.contains("histogram"));
     let json = std::fs::read_to_string(&out_path).expect("bench_json must write its output file");
     assert!(json.contains("\"schema\": \"bib-bench/engines/v8\""));
     assert!(json.contains("\"host\""), "host metadata missing");
     assert!(json.contains("\"threads\""), "worker-thread count missing");
     assert!(json.contains("\"rustc\""), "rustc version missing");
-    // Full matrix: 3 sizes x (3 engines + auto) x 2 protocols, plus the
+    // Full matrix: 3 sizes x (2 engines + auto) x 2 protocols, plus the
     // fixed-sample block at the heavy size (2 protocols x 3 engines),
     // the weighted block (3 weight shapes x (3 adaptive engines + 1
     // one-choice row)), the parallel-round block (3 protocols x
     // {faithful, histogram, auto}) and the serve-mode block (2
     // families).
-    assert_eq!(json.matches("\"protocol\"").count(), 53);
+    assert_eq!(json.matches("\"protocol\"").count(), 47);
     // Every row is tagged with its scenario and records (schema v4)
     // whether it ever materialized the dense load vector; since every
     // run is single-threaded (schema v7) only the host header carries
@@ -302,7 +301,7 @@ fn bench_json_smoke_writes_valid_json() {
         1,
         "only the host header carries a thread count"
     );
-    for engine in ["faithful", "level-batched", "histogram", "auto"] {
+    for engine in ["faithful", "histogram", "auto"] {
         assert!(
             json.contains(&format!("\"engine\": \"{engine}\"")),
             "missing engine {engine}"
@@ -391,14 +390,7 @@ fn experiment_binaries_accept_engine_flag() {
     // --engine must parse and steer the run on a representative binary.
     let out = run(
         env!("CARGO_BIN_EXE_lemma42"),
-        &[
-            "--quick",
-            "--csv",
-            "--engine",
-            "level-batched",
-            "--reps",
-            "2",
-        ],
+        &["--quick", "--csv", "--engine", "faithful", "--reps", "2"],
     );
     let (h, rows) = parse_csv(&out);
     assert!(!rows.is_empty());

@@ -22,9 +22,9 @@
 //!   weakly increases with `b` — the `batched_adaptive` experiment
 //!   quantifies by how much.
 
-use crate::level_batched::{allocate_scheduled, ThresholdSchedule};
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
 use crate::protocols::Adaptive;
+use crate::sampler::{allocate_scheduled, ThresholdSchedule};
 use bib_rng::Rng64;
 
 /// `adaptive` with the ball count synchronised every `b` balls.

@@ -5,21 +5,19 @@
 //! load are exchangeable, so the load vector carries no information
 //! beyond its histogram. The engine therefore collapses the bin
 //! dimension entirely — state is `counts[ℓ] = #bins with load ℓ` — and
-//! the per-round work drops from `O(n)` (the level-batched engine's
-//! open-bin list) to `O(#distinct loads)`, which the paper's smoothness
-//! results keep at `O(log n)`. On the heavy regimes of Lemma 4.2 and
-//! Corollary 3.5 (`m = n²` and beyond) the hot path becomes independent
-//! of `n`.
+//! the per-round work is `O(#distinct loads)`, not `O(n)`, which the
+//! paper's smoothness results keep at `O(log n)`. On the heavy regimes
+//! of Lemma 4.2 and Corollary 3.5 (`m = n²` and beyond) the hot path
+//! becomes independent of `n`.
 //!
 //! # How a round works
 //!
 //! For threshold-style rules (uniform over bins with load `< t`) a
 //! *round* throws the `left` remaining balls at the open bins frozen at
-//! round start — exactly the level-batched argument: in the faithful
-//! sample stream these are the next hits on the round-start open set,
-//! hits beyond a bin's remaining capacity are rejections, and the
-//! rejected overflow re-enters the next round. The difference is that
-//! the round never looks at a single bin (`poissonized_round`):
+//! round start: in the faithful sample stream these are the next hits
+//! on the round-start open set, hits beyond a bin's remaining capacity
+//! are rejections, and the rejected overflow re-enters the next round.
+//! The round never looks at a single bin (`poissonized_round`):
 //!
 //! 1. every open bin gets an independent `Poisson(λ)` hit count, drawn
 //!    as one conditional-binomial chain over the Poisson pmf
@@ -85,19 +83,23 @@
 //! `one-choice`.
 //! *Per-ball events*: `Observer::on_ball` never fires; stage traces fire
 //! exactly when the observer wants them (segments cap at stage
-//! boundaries, like the level-batched driver).
+//! boundaries).
 
-use crate::level_batched::{
-    stream_samples_for_hits_bounded, BatchStats, ThresholdSchedule, HISTOGRAM_SAMPLES_CUTOFF,
-};
 use crate::protocol::{Observer, Outcome, RunConfig};
+use crate::sampler::ThresholdSchedule;
 use crate::scenario::Scenario;
-use bib_rng::dist::{ln_factorial, BinomialSampler, Distribution, GeometricSampler};
+use bib_rng::dist::{ln_factorial, BinomialSampler, Distribution, GeometricSampler, Normal};
 use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
 
 /// Below this many remaining balls a batched round stops paying for its
 /// fixed `O(#levels)` cost and the exact per-ball tail takes over.
 const ROUND_CUTOFF: u64 = 32;
+
+/// [`stream_samples_for_hits_bounded`] sums exact geometrics up to this
+/// many hits and draws the CLT normal above. A driver prices several
+/// small rounds per stage or segment, and long geometric sums would
+/// dominate its collapsed hot path.
+const HISTOGRAM_SAMPLES_CUTOFF: u64 = 32;
 
 /// [`hypergeometric`] draws of at most this many items run the exact
 /// sequential pick (one uniform per draw); larger ones are
@@ -1426,6 +1428,45 @@ pub fn rounded_normal_count<R: Rng64 + ?Sized>(
     ((draw.max(0.0)) as u64).clamp(lo, hi)
 }
 
+/// Sample accounting for one batched placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Total bin samples consumed (allocation time of the batch).
+    pub samples: u64,
+    /// Largest per-ball sample count *observed* — exact for tail balls,
+    /// a lower bound (1) for batched balls.
+    pub max_samples_per_ball: u64,
+}
+
+/// Draws the total number of uniform bin samples needed to obtain
+/// `hits` hits in an accepting set of probability `p` — a sum of `hits`
+/// geometrics, i.e. `hits + NegativeBinomial(hits, p)` failures. Exact
+/// summation up to [`HISTOGRAM_SAMPLES_CUTOFF`] hits; rounded CLT draw
+/// (mean `hits/p`, variance `hits·(1−p)/p²`) beyond, clamped to the
+/// support `≥ hits`. Shared by the uniform and weight-class drivers.
+pub(crate) fn stream_samples_for_hits_bounded<R: Rng64 + ?Sized>(
+    hits: u64,
+    p: f64,
+    rng: &mut R,
+) -> u64 {
+    if hits == 0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return hits;
+    }
+    if hits <= HISTOGRAM_SAMPLES_CUTOFF {
+        let g = GeometricSampler::new(p);
+        return (0..hits).map(|_| g.sample(rng)).sum();
+    }
+    let mean = hits as f64 / p;
+    let sd = (hits as f64 * (1.0 - p)).sqrt() / p;
+    let draw = Normal::new(mean, sd).sample(rng).round();
+    // f64 → u64 casts saturate, so a deep-left-tail draw clamps to 0
+    // and then to the support minimum.
+    (draw as u64).max(hits)
+}
+
 /// Places `count` balls under the uniform-below-`t` rule (`None` = the
 /// `one-choice` law), batched by occupancy class. Panics if no bin is
 /// open or `count` exceeds the remaining capacity below `t` (either
@@ -1475,12 +1516,7 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
         let k = hist.open_bins(t);
         let (hits, kept) =
             poissonized_round(std::slice::from_mut(hist), &[t], &[1.0], left, round, rng);
-        samples += stream_samples_for_hits_bounded(
-            hits,
-            k as f64 / n as f64,
-            HISTOGRAM_SAMPLES_CUTOFF,
-            rng,
-        );
+        samples += stream_samples_for_hits_bounded(hits, k as f64 / n as f64, rng);
         debug_assert!(kept > 0, "a round with open capacity must place something");
         if kept == 0 {
             break; // defensive: the exact tail below is always correct
@@ -2569,5 +2605,33 @@ mod tests {
         hist.check_invariants();
         assert_eq!(total_balls(&hist), n);
         assert!(stats.samples >= n);
+    }
+
+    #[test]
+    fn stream_samples_small_and_large_regimes_agree_on_mean() {
+        // p = 1/4 ⇒ mean samples per hit is 4, whether the hits are
+        // summed as geometrics (≤ HISTOGRAM_SAMPLES_CUTOFF) or drawn
+        // from the CLT normal.
+        let mut rng = SplitMix64::new(7);
+        let small_hits = 20;
+        assert!(small_hits <= HISTOGRAM_SAMPLES_CUTOFF);
+        let small: f64 = (0..200)
+            .map(|_| stream_samples_for_hits_bounded(small_hits, 0.25, &mut rng) as f64)
+            .sum::<f64>()
+            / 200.0;
+        let large: f64 = (0..200)
+            .map(|_| stream_samples_for_hits_bounded(100_000, 0.25, &mut rng) as f64)
+            .sum::<f64>()
+            / 200.0;
+        assert!(
+            (small / small_hits as f64 - 4.0).abs() < 0.2,
+            "small-regime mean {small}"
+        );
+        assert!(
+            (large / 100_000.0 - 4.0).abs() < 0.02,
+            "large-regime mean {large}"
+        );
+        assert_eq!(stream_samples_for_hits_bounded(0, 0.5, &mut rng), 0);
+        assert_eq!(stream_samples_for_hits_bounded(9, 1.0, &mut rng), 9);
     }
 }

@@ -21,11 +21,9 @@
 //! * [`partitioned`] — loads plus per-level counts, with O(1) placement
 //!   and O(1) "how many bins are below a threshold" queries.
 //! * [`sampler`] — the faithful per-ball retry loop (Figures 1 and 2),
-//!   the one per-ball engine.
-//! * [`level_batched`] — the second engine: a run whose threshold never
-//!   changes placed with binomial level splits, exact on final loads;
-//!   every other run under its name is the faithful loop.
-//! * [`histogram`] — the third engine: the bin dimension collapsed to
+//!   the one per-ball engine, and the [`sampler::ThresholdSchedule`]
+//!   contract whose `allocate` body it shares with the histogram engine.
+//! * [`histogram`] — the second engine: the bin dimension collapsed to
 //!   the occupancy histogram `counts[load]`, rounds costing
 //!   `O(#distinct loads)` independent of `n`; also accelerates
 //!   `one-choice` and `greedy[d]` through their CDF landing laws.
@@ -58,7 +56,6 @@ pub mod choices;
 pub mod error;
 pub mod faults;
 pub mod histogram;
-pub mod level_batched;
 pub mod loads;
 pub mod partitioned;
 pub mod poissonized;
@@ -78,7 +75,6 @@ pub mod prelude {
     pub use crate::error::ProtocolError;
     pub use crate::faults::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::histogram::{HistogramSchedule, OccupancyHistogram};
-    pub use crate::level_batched::ThresholdSchedule;
     pub use crate::loads::Loads;
     pub use crate::partitioned::PartitionedBins;
     pub use crate::potential::{exponential_potential, gap, quadratic_potential};
@@ -90,6 +86,7 @@ pub mod prelude {
         TieBreak,
     };
     pub use crate::run::{run_protocol, run_replicates};
+    pub use crate::sampler::ThresholdSchedule;
     pub use crate::scenario::{scenario_protocol, Family, Scenario, WeightedSchedule, Workload};
     pub use crate::stream::{
         serve, LatencyTail, RetryPolicy, StreamProtocol, StreamReport, StreamSpec, TickStats,

@@ -15,8 +15,7 @@
 //! it happens never changes the resulting vector.
 //!
 //! Outcomes born from a dense driver (the faithful per-ball loop, the
-//! level-batched engine, the weighted family whose per-bin weights pin
-//! bin identities) wrap their vector with [`Loads::from_vec`]; the
+//! weighted family whose per-bin weights pin bin identities) wrap their vector with [`Loads::from_vec`]; the
 //! histogram view is then derived (and cached) on demand, so the
 //! `O(#distinct loads)` statistics are equally available on both kinds.
 

@@ -16,21 +16,13 @@ use bib_rng::Rng64;
 /// `Faithful` is the paper's literal process: every ball samples bins
 /// one at a time until one accepts (see [`crate::sampler`]). It is the
 /// one per-ball engine, so it is the one that fires
-/// `Observer::on_ball` with exact sample counts. The name `jump` still
-/// parses, as an alias of `faithful`, for command lines written against
-/// the removed geometric-jump engine (same `(bin, samples)` law per
-/// ball, slower on every measured cell).
-///
-/// `LevelBatched` places a whole run whose acceptance bound never
-/// changes (`threshold`, `adaptive` with `m ≤ n`) with one batched call
-/// (see [`crate::level_batched`]), splitting each accepting group's
-/// intake with binomial draws instead of placing balls one at a time.
-/// It is distributionally *exact on the final load vector* but does not
-/// produce per-ball traces: `Observer::on_ball` never fires,
-/// `total_samples` is a CLT-faithful draw rather than a per-ball sum,
-/// and `max_samples_per_ball` is only a lower-bound proxy. Every other
-/// run under this name (a changing bound, or an observer that wants
-/// stage ends) is the faithful loop.
+/// `Observer::on_ball` with exact sample counts. Two names still parse
+/// as aliases of `faithful`, for command lines written against removed
+/// engines that promised no more than it keeps: `jump` (the
+/// geometric-jump engine: same `(bin, samples)` law per ball, slower on
+/// every measured cell) and `level-batched` (binomial level splits of a
+/// constant-bound run: exact final loads, slower than `histogram` on
+/// every measured threshold cell).
 ///
 /// `Histogram` collapses the bin dimension entirely (see
 /// [`crate::histogram`]): state is the occupancy histogram
@@ -65,10 +57,6 @@ pub enum Engine {
     /// Faithful sample-by-sample retry loop.
     #[default]
     Faithful,
-    /// Level-batched group placement of a constant-bound run: binomial
-    /// intake splits per load level, exact on final loads, no per-ball
-    /// trace.
-    LevelBatched,
     /// Occupancy-histogram engine: the bin dimension is collapsed to
     /// `counts[load]`; round cost is `O(#distinct loads)`, independent
     /// of `n`. Final loads reconstructed by seeded random assignment.
@@ -82,13 +70,12 @@ impl Engine {
     /// All concrete engines, in documentation order. `Auto` is a
     /// selector, not an engine, and is deliberately absent: iterating
     /// `ALL` visits each distinct simulation path exactly once.
-    pub const ALL: [Engine; 3] = [Engine::Faithful, Engine::LevelBatched, Engine::Histogram];
+    pub const ALL: [Engine; 2] = [Engine::Faithful, Engine::Histogram];
 
     /// Canonical CLI / JSON name.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Faithful => "faithful",
-            Engine::LevelBatched => "level-batched",
             Engine::Histogram => "histogram",
             Engine::Auto => "auto",
         }
@@ -155,13 +142,13 @@ impl std::str::FromStr for Engine {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "faithful" | "naive" | "jump" => Ok(Engine::Faithful),
-            "level-batched" | "batched" | "level_batched" => Ok(Engine::LevelBatched),
+            "faithful" | "naive" | "jump" | "level-batched" | "batched" | "level_batched" => {
+                Ok(Engine::Faithful)
+            }
             "histogram" | "hist" => Ok(Engine::Histogram),
             "auto" | "concurrent" | "conc" => Ok(Engine::Auto),
             other => Err(format!(
-                "unknown engine {other:?}; expected faithful, level-batched, histogram or \
-                 auto"
+                "unknown engine {other:?}; expected faithful, histogram or auto"
             )),
         }
     }
@@ -174,12 +161,11 @@ pub struct RunConfig {
     pub n: usize,
     /// Number of balls `m`.
     pub m: u64,
-    /// Simulation engine. Threshold-style protocols support all three
-    /// concrete engines; `one-choice`/`greedy[d]`, the weighted family
-    /// and the parallel round family each dispatch between their
-    /// faithful path and their histogram fast path (histogram, or
-    /// `Auto` resolving to it, takes the fast path; anything else,
-    /// `LevelBatched` included, is the exact faithful path);
+    /// Simulation engine. Threshold-style protocols,
+    /// `one-choice`/`greedy[d]`, the weighted family and the parallel
+    /// round family each dispatch between their faithful path and
+    /// their histogram fast path (histogram, or `Auto` resolving to it,
+    /// takes the fast path; `Faithful` is the exact faithful path);
     /// `left[d]`, `memory` and `(1+β)` ignore the engine. The
     /// allocation process is single-threaded, whatever the engine.
     pub engine: Engine,
@@ -203,9 +189,9 @@ impl RunConfig {
     }
 
     /// The target height `⌈m/n⌉ + 1` that both paper protocols guarantee
-    /// as a maximum load.
+    /// as a maximum load (saturating at `u64::MAX`).
     pub fn max_load_bound(&self) -> u64 {
-        self.m.div_ceil(self.n as u64) + 1
+        self.m.div_ceil(self.n as u64).saturating_add(1)
     }
 }
 
@@ -213,11 +199,10 @@ impl RunConfig {
 ///
 /// All methods have no-op defaults. `on_stage_end` fires after every
 /// batch of `n` placed balls (the paper's *stages*), and once more at the
-/// end if `m` is not a multiple of `n`. A run that [`Engine::LevelBatched`]
-/// batches fires neither `on_ball` (there is no per-ball event stream)
-/// nor `on_stage_end`; it only batches when
-/// [`Observer::wants_stage_ends`] returns `false`, so a stage-trace
-/// observer always sees every stage.
+/// end if `m` is not a multiple of `n`. The batched engines never fire
+/// `on_ball` (there is no per-ball event stream); they fire
+/// `on_stage_end` whenever [`Observer::wants_stage_ends`] returns
+/// `true`, so a stage-trace observer always sees every stage.
 pub trait Observer {
     /// Called after each ball is placed: its 1-based index, the receiving
     /// bin, and how many bin samples it consumed.
@@ -229,8 +214,7 @@ pub trait Observer {
 
     /// Whether this observer consumes `on_stage_end`. The batched
     /// engines ask once per run; returning `false` (as [`NullObserver`]
-    /// does) lets them batch across stage boundaries — for
-    /// [`Engine::LevelBatched`], it is what allows batching at all.
+    /// does) lets them batch across stage boundaries.
     fn wants_stage_ends(&self) -> bool {
         true
     }

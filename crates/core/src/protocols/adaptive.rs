@@ -12,8 +12,8 @@
 //! discussed in Section 2: each stage degenerates into a coupon-collector
 //! process and the allocation time becomes `Θ(m log n)`.
 
-use crate::level_batched::{allocate_scheduled, ThresholdSchedule};
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
+use crate::sampler::{allocate_scheduled, ThresholdSchedule};
 use bib_rng::Rng64;
 
 /// The adaptive-threshold protocol, parameterised by the additive slack
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn max_load_bound_holds_always() {
         for seed in 0..5u64 {
-            for engine in [Engine::Faithful, Engine::LevelBatched] {
+            for engine in Engine::ALL {
                 let cfg = RunConfig::new(16, 103).with_engine(engine);
                 let mut rng = SplitMix64::new(seed);
                 let out = Adaptive::paper().allocate(&cfg, &mut rng, &mut NullObserver);

@@ -7,8 +7,8 @@
 //! shows the final distribution is *rough*: at `m = n²` the quadratic
 //! potential is `Ω(n^{9/8})` and the gap `Ω(n^{1/8})`.
 
-use crate::level_batched::{allocate_scheduled, ThresholdSchedule};
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
+use crate::sampler::{allocate_scheduled, ThresholdSchedule};
 use bib_rng::Rng64;
 
 /// The static-threshold protocol. Stateless: the acceptance threshold is
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn max_load_bound_holds_always() {
         for seed in 0..5u64 {
-            for engine in [Engine::Faithful, Engine::LevelBatched] {
+            for engine in Engine::ALL {
                 let cfg = RunConfig::new(16, 100).with_engine(engine);
                 let mut rng = SplitMix64::new(seed);
                 let out = Threshold.allocate(&cfg, &mut rng, &mut NullObserver);
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn engines_give_same_max_load_guarantee_and_similar_time() {
         let cfg_naive = RunConfig::new(128, 128 * 16);
-        let cfg_batched = cfg_naive.with_engine(Engine::LevelBatched);
+        let cfg_batched = cfg_naive.with_engine(Engine::Histogram);
         let mut r1 = SplitMix64::new(10);
         let mut r2 = SplitMix64::new(11);
         let a = Threshold.allocate(&cfg_naive, &mut r1, &mut NullObserver);
@@ -237,6 +237,6 @@ mod tests {
         b.validate();
         assert!(b.max_load() as u64 <= cfg_batched.max_load_bound());
         let (ra, rb) = (a.time_ratio(), b.time_ratio());
-        assert!((ra - rb).abs() < 0.2, "naive {ra} vs level-batched {rb}");
+        assert!((ra - rb).abs() < 0.2, "naive {ra} vs histogram {rb}");
     }
 }

@@ -14,9 +14,27 @@
 //! pseudocode — so its per-ball events are exact, not merely exact in
 //! distribution. The unit tests check the sample count against the
 //! exact geometric law.
+//!
+//! [`allocate_scheduled`] is the shared `allocate` body of every
+//! [`ThresholdSchedule`] protocol: it runs this loop, or hands the run
+//! to the histogram engine.
 
 use crate::partitioned::PartitionedBins;
+use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_rng::{Rng64, RngExt};
+
+/// A protocol whose acceptance bound is a function of the ball index
+/// alone, constant over contiguous segments — the contract
+/// [`allocate_scheduled`] needs.
+pub trait ThresholdSchedule {
+    /// Acceptance bound for ball `ball` (1-based): a bin accepts iff
+    /// `load < bound`.
+    fn bound(&self, cfg: &RunConfig, ball: u64) -> u32;
+
+    /// Inclusive index of the last ball sharing `ball`'s bound
+    /// (`ball ≤ segment_end ≤ cfg.m`).
+    fn segment_end(&self, cfg: &RunConfig, ball: u64) -> u64;
+}
 
 /// Places one ball into a uniformly random bin with load `< t` by the
 /// faithful retry loop, returning `(bin, samples_used)`.
@@ -42,6 +60,40 @@ pub fn place_below<R: Rng64 + ?Sized>(
             return (j, samples);
         }
     }
+}
+
+/// The shared `allocate` body of every threshold-scheduled protocol:
+/// resolves [`Engine::Auto`] against the measured matrix, then
+/// dispatches to the histogram driver or the faithful per-ball loop.
+pub fn allocate_scheduled<P, R, O>(
+    protocol: &P,
+    cfg: &RunConfig,
+    rng: &mut R,
+    obs: &mut O,
+) -> Outcome
+where
+    P: Protocol + ThresholdSchedule,
+    R: Rng64 + ?Sized,
+    O: Observer + ?Sized,
+{
+    let engine = match cfg.engine {
+        Engine::Auto => Engine::auto_scheduled(cfg.n, cfg.m),
+        engine => engine,
+    };
+    if engine == Engine::Histogram {
+        return crate::histogram::drive_histogram(protocol.name(), cfg, rng, obs, protocol);
+    }
+    // Memoize the bound per constant-threshold segment: the division
+    // inside `bound` is measurable per-ball cost on the retry hot loop.
+    let mut seg_end = 0u64;
+    let mut t = 0u32;
+    drive_sequential(protocol.name(), cfg, rng, obs, move |bins, ball, rng| {
+        if ball > seg_end {
+            t = protocol.bound(cfg, ball);
+            seg_end = protocol.segment_end(cfg, ball);
+        }
+        place_below(bins, t, rng)
+    })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!    replication, summaries, JSON — consumes one record.
 //!
 //! 2. **One scheduling contract per family.** The uniform family already
-//!    had [`ThresholdSchedule`](crate::level_batched::ThresholdSchedule)
+//!    had [`ThresholdSchedule`](crate::sampler::ThresholdSchedule)
 //!    / [`HistogramSchedule`](crate::histogram::HistogramSchedule); the
 //!    weighted family gets [`WeightedSchedule`], the exact analogue with
 //!    the acceptance limit expressed per *weight share* instead of per
@@ -224,7 +224,7 @@ pub fn strict_int_bound(limit: f64) -> u32 {
 /// acceptance limit of a bin is a function of its *weight share*
 /// `w_j / W` and the ball index alone, constant over contiguous
 /// segments per share. The weighted analogue of
-/// [`ThresholdSchedule`](crate::level_batched::ThresholdSchedule).
+/// [`ThresholdSchedule`](crate::sampler::ThresholdSchedule).
 ///
 /// Both weighted drivers consume this trait: the faithful per-ball loop
 /// compares `(load as f64) < limit` directly, and the weight-class

@@ -57,8 +57,10 @@
 //!
 //! [`Scenario::weighted`]: crate::scenario::Scenario::weighted
 
-use crate::histogram::{poissonized_round, random_permutation, OccupancyHistogram, RoundScratch};
-use crate::level_batched::{stream_samples_for_hits_bounded, HISTOGRAM_SAMPLES_CUTOFF};
+use crate::histogram::{
+    poissonized_round, random_permutation, stream_samples_for_hits_bounded, OccupancyHistogram,
+    RoundScratch,
+};
 use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Scenario, WeightedSchedule};
 use bib_rng::dist::{AliasTable, Distribution, GeometricSampler};
@@ -398,9 +400,7 @@ impl Protocol for WeightedOneChoice {
 /// The shared `allocate` body of the weighted family: resolves
 /// [`Engine::Auto`] through [`Engine::auto_weighted`], then dispatches
 /// to the weight-class histogram engine (`Histogram`) or the faithful
-/// per-ball driver (anything else: the family has no batched exact
-/// path, so `LevelBatched` keeps its exact-final-loads guarantee by
-/// running the faithful loop).
+/// per-ball driver (`Faithful`).
 fn allocate_weighted<S, R, O>(
     schedule: &S,
     weights: &[f64],
@@ -640,7 +640,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
         samples += if unbounded_only {
             hits
         } else {
-            stream_samples_for_hits_bounded(hits, p.min(1.0), HISTOGRAM_SAMPLES_CUTOFF, rng)
+            stream_samples_for_hits_bounded(hits, p.min(1.0), rng)
         };
         debug_assert!(kept > 0, "a weighted round with open capacity must place");
         if kept == 0 {

@@ -222,6 +222,15 @@ fn chi_square_heavy_load_regime() {
     });
     let p = two_sample_p(&a, &b);
     assert!(p > 1e-4, "adaptive n=8 heavy gap: p={p}\n{a:?}\n{b:?}");
+
+    // Lemma 4.2's Ψ at m = n², the statistic `lemma42` reports for its
+    // threshold column (which runs on the histogram engine), in cells
+    // of width 32 (the faithful 10–90 % range at n = 64 is ≈ 290–530).
+    let (a, b) = engine_histograms(&Threshold, 64, 64 * 64, 1500, 24, |o| {
+        (o.psi() / 32.0) as usize
+    });
+    let p = two_sample_p(&a, &b);
+    assert!(p > 1e-4, "threshold n=64 m=n^2 psi: p={p}\n{a:?}\n{b:?}");
 }
 
 #[test]

@@ -1,24 +1,35 @@
-//! Distributional equivalence of the level-batched engine.
+//! The `level-batched` engine name, held to the claims its engine made.
 //!
-//! The claim (see `bib-core::level_batched`): under `threshold`-style
-//! protocols, `Engine::LevelBatched` induces *exactly* the same
-//! distribution on the final load vector as `Engine::Faithful`. These
-//! tests check it three ways:
+//! The level-batched engine is gone: `"level-batched"` now parses to
+//! `Engine::Faithful`, which keeps the law it promised (final loads
+//! exact in distribution). The cases its equivalence suite ran on paths
+//! that survive stay here under their names:
 //!
-//! * exact small cases — `n = 1` (deterministic), the degenerate `t = 1`
-//!   stages of `adaptive-tight` (deterministic), and invariants that
-//!   must hold surely (mass, max-load bound) for `n ∈ {1, 2, 8, 64}`;
-//! * two-sample chi-square tests on final-load functionals (the load of
-//!   a fixed bin, the max−min gap) between faithful and level-batched
-//!   replicate ensembles, including the `m ≫ n` regime;
-//! * a mean-level check that the (CLT-sampled) allocation time under
-//!   `LevelBatched` tracks the faithful engine's exact accounting.
+//! * the degenerate `t = 1` stages of `adaptive-tight`, exact under
+//!   every engine in `Engine::ALL`;
+//! * sure invariants (mass, the `⌈m/n⌉+1` bound) of `threshold`,
+//!   `adaptive`, `ThresholdSlack` and `BatchedAdaptive` runs under the
+//!   alias, for `n ∈ {1, 2, 8, 64}`;
+//! * a two-sample chi-square test of the max−min gap in the `m ≫ n`
+//!   regime between the alias and the histogram engine, which now serves
+//!   that regime.
 
 use bib_analysis::chisq::chi_square_sf;
 use bib_core::batched::BatchedAdaptive;
 use bib_core::prelude::*;
 use bib_core::protocols::ThresholdSlack;
 use bib_core::run::run_protocol;
+
+/// The engine `--engine level-batched` selects.
+fn level_batched() -> Engine {
+    let engine: Engine = "level-batched".parse().unwrap();
+    assert_eq!(
+        engine,
+        Engine::Faithful,
+        "level-batched is an alias of faithful"
+    );
+    engine
+}
 
 /// Two-sample Pearson chi-square on a pair of histograms with pooling of
 /// sparse cells; returns the p-value of "same distribution".
@@ -61,7 +72,7 @@ fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
 }
 
 /// Histograms a per-outcome statistic over replicate ensembles of the
-/// two engines.
+/// `level-batched` alias and the histogram engine.
 fn engine_histograms<P, F>(
     proto: &P,
     n: usize,
@@ -75,13 +86,12 @@ where
     F: Fn(&Outcome) -> usize,
 {
     let mut hists = Vec::new();
-    for (engine, seed_space) in [(Engine::Faithful, 0u64), (Engine::LevelBatched, 2_000_000)] {
+    for (engine, seed_space) in [(level_batched(), 0u64), (Engine::Histogram, 3_000_000)] {
         let cfg = RunConfig::new(n, m).with_engine(engine);
         let mut h = vec![0u64; cells];
         for rep in 0..reps {
-            // Distinct seed spaces per engine (fixed, not tied to the
-            // enum's layout): the comparison is distributional, not
-            // stream-coupled.
+            // Distinct seed spaces per engine: the comparison is
+            // distributional, not stream-coupled.
             let seed = rep + seed_space;
             let out = run_protocol(proto, &cfg, seed);
             out.validate();
@@ -93,19 +103,6 @@ where
     let b = hists.pop().unwrap();
     let a = hists.pop().unwrap();
     (a, b)
-}
-
-#[test]
-fn single_bin_is_deterministic_and_exact() {
-    for m in [0u64, 1, 37, 1000] {
-        let cfg = RunConfig::new(1, m).with_engine(Engine::LevelBatched);
-        let out = run_protocol(&Threshold, &cfg, 5);
-        out.validate();
-        assert_eq!(out.loads, vec![m as u32]);
-        assert_eq!(out.total_samples, m, "single bin wastes no samples");
-        let out = run_protocol(&Adaptive::paper(), &cfg, 5);
-        assert_eq!(out.loads, vec![m as u32]);
-    }
 }
 
 #[test]
@@ -132,11 +129,12 @@ fn invariants_hold_across_sizes_and_protocols() {
     // the ⌈m/n⌉+1 max-load bound, and samples ≥ m.
     for n in [1usize, 2, 8, 64] {
         for m in [0u64, 1, 7, 64, 512 * 64] {
-            let cfg = RunConfig::new(n, m).with_engine(Engine::LevelBatched);
+            let cfg = RunConfig::new(n, m).with_engine(level_batched());
             for seed in 0..3u64 {
                 let thr = run_protocol(&Threshold, &cfg, seed);
                 thr.validate();
                 assert!(thr.max_load() as u64 <= cfg.max_load_bound(), "n={n} m={m}");
+                assert!(thr.total_samples >= m, "n={n} m={m}");
                 let ada = run_protocol(&Adaptive::paper(), &cfg, seed);
                 ada.validate();
                 assert!(ada.max_load() as u64 <= cfg.max_load_bound(), "n={n} m={m}");
@@ -153,76 +151,12 @@ fn invariants_hold_across_sizes_and_protocols() {
 }
 
 #[test]
-fn chi_square_bin0_load_matches_faithful_small_n() {
-    // n = 2, m = 4: the load of bin 0 takes values 0..=3 (bound ⌈4/2⌉+1).
-    let (a, b) = engine_histograms(&Threshold, 2, 4, 4000, 4, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
-    assert!(
-        p > 1e-4,
-        "threshold n=2 m=4 bin-0 load: p={p}\n{a:?}\n{b:?}"
-    );
-
-    let (a, b) = engine_histograms(&Adaptive::paper(), 2, 5, 4000, 4, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
-    assert!(p > 1e-4, "adaptive n=2 m=5 bin-0 load: p={p}\n{a:?}\n{b:?}");
-}
-
-#[test]
-fn chi_square_gap_matches_faithful_n8() {
-    let (a, b) = engine_histograms(&Threshold, 8, 64, 3000, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
-    assert!(p > 1e-4, "threshold n=8 gap: p={p}\n{a:?}\n{b:?}");
-
-    let (a, b) = engine_histograms(&Adaptive::paper(), 8, 60, 3000, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
-    assert!(p > 1e-4, "adaptive n=8 m=60 gap: p={p}\n{a:?}\n{b:?}");
-}
-
-#[test]
 fn chi_square_heavy_load_regime_matches_faithful() {
-    // m ≫ n: n = 8, m = 1024·8 — the regime the engine exists for, kept
-    // small enough that the faithful ensemble stays cheap.
-    let (a, b) = engine_histograms(&Threshold, 8, 8 * 1024, 1500, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
-    assert!(p > 1e-4, "threshold heavy gap: p={p}\n{a:?}\n{b:?}");
-
+    // m ≫ n, the regime the level-batched engine was built for: n = 64,
+    // m = 256·64, where the histogram engine's rounds take
+    // normal-approximated splits. (The n = 8, m = 1024·8 case runs in
+    // `histogram_equivalence.rs::chi_square_heavy_load_regime`.)
     let (a, b) = engine_histograms(&Threshold, 64, 64 * 256, 800, 10, |o| o.gap() as usize);
     let p = two_sample_p(&a, &b);
     assert!(p > 1e-4, "threshold n=64 heavy gap: p={p}\n{a:?}\n{b:?}");
-}
-
-#[test]
-fn level_batched_is_deterministic_per_seed() {
-    let cfg = RunConfig::new(64, 64 * 100).with_engine(Engine::LevelBatched);
-    for proto in ["threshold", "adaptive", "adaptive-tight"] {
-        let p = bib_core::protocols::by_name(proto).unwrap();
-        let x = run_protocol(p.as_ref(), &cfg, 11);
-        let y = run_protocol(p.as_ref(), &cfg, 11);
-        assert_eq!(x, y, "{proto}");
-    }
-}
-
-#[test]
-fn allocation_time_tracks_jump_engine() {
-    // total_samples under LevelBatched is a CLT draw of the same
-    // negative-binomial total the faithful engine (`jump` is its alias)
-    // counts exactly; the ensemble means must agree to a couple of
-    // percent.
-    let n = 64usize;
-    let m = 64u64 * 64;
-    let reps = 200u64;
-    let mean_ratio = |engine: Engine| -> f64 {
-        let cfg = RunConfig::new(n, m).with_engine(engine);
-        (0..reps)
-            .map(|s| run_protocol(&Threshold, &cfg, s).time_ratio())
-            .sum::<f64>()
-            / reps as f64
-    };
-    let faithful = mean_ratio(Engine::Faithful);
-    let batched = mean_ratio(Engine::LevelBatched);
-    assert!(
-        (faithful - batched).abs() < 0.03 * faithful,
-        "mean T/m: faithful {faithful} vs level-batched {batched}"
-    );
-    assert!(batched >= 1.0);
 }

@@ -224,7 +224,7 @@ const ROW_NUMBERS: &[&str] = &[
 ];
 const ROW_BOOLS: &[&str] = &["loads_materialized"];
 const SCENARIOS: &[&str] = &["uniform", "weighted", "parallel", "stream"];
-const ENGINES: &[&str] = &["faithful", "level-batched", "histogram", "auto", "stream"];
+const ENGINES: &[&str] = &["faithful", "histogram", "auto", "stream"];
 
 /// n = 10⁴, m = n²: the heavy sequential cell.
 const SQUARE: (f64, f64) = (1e4, 1e8);
@@ -233,10 +233,10 @@ const ROUNDS: (f64, f64) = (1e7, 1e7);
 
 /// Speed gates of a full document, `(protocol, fast engine, ratio)`
 /// at `SQUARE`: the faithful engine's `wall_ms_best` must be at least
-/// `ratio` times the fast engine's. This heavy regime is where each
+/// `ratio` times the fast engine's. This heavy regime is where the
 /// batched engine has to earn its place over the per-ball loop.
 const RATIO_GATES: &[(&str, &str, f64)] = &[
-    ("threshold", "level-batched", 5.0),
+    ("threshold", "histogram", 5.0),
     ("adaptive", "histogram", 20.0),
 ];
 
@@ -565,7 +565,7 @@ mod tests {
     fn gate_rows() -> Vec<String> {
         let mut rows = vec![
             row("threshold", "uniform", "faithful", SQUARE, 50.0),
-            row("threshold", "uniform", "level-batched", SQUARE, 10.0),
+            row("threshold", "uniform", "histogram", SQUARE, 10.0),
             row("adaptive", "uniform", "faithful", SQUARE, 200.0),
             row("adaptive", "uniform", "histogram", SQUARE, 10.0),
         ];
@@ -615,7 +615,7 @@ mod tests {
         // At exactly 5x and 20x both gates pass.
         assert_eq!(check_bench(&full_doc(&gate_rows())), Vec::<String>::new());
         for (fast_row, gate) in [
-            (1, "threshold: faithful / level-batched >= 5x"),
+            (1, "threshold: faithful / histogram >= 5x"),
             (3, "adaptive: faithful / histogram >= 20x"),
         ] {
             // A fast row a hair too slow drops the ratio under its
@@ -674,9 +674,9 @@ mod tests {
         assert!(check_bench(&no_stream)
             .iter()
             .any(|e| e.contains("serve-mode rows missing")));
-        // The removed concurrent and jump engines are not valid row
-        // engines.
-        for removed in ["concurrent", "jump"] {
+        // The removed concurrent, jump and level-batched engines are
+        // not valid row engines.
+        for removed in ["concurrent", "jump", "level-batched"] {
             let doc = valid_doc().replace(
                 "\"engine\": \"faithful\"",
                 &format!("\"engine\": \"{removed}\""),

@@ -34,14 +34,13 @@
 //! request in `RunConfig` resolves by a fixed documented rule
 //! ([`resolve_round_engine`]): `Histogram` runs the round-occupancy
 //! engine, `Auto` resolves through [`Engine::auto_scheduled`], and
-//! every other request — `LevelBatched` included — runs the faithful
-//! per-contact rounds. `LevelBatched` promises exact final loads, and
-//! the faithful rounds are the family's only path that keeps that
-//! promise: the round-occupancy engine's large rounds are exact only up
-//! to the moment-matched regimes of `split_binomial` (variance above 4)
-//! and [`hypergeometric`] (above 8 draws), plus the approximations each
-//! protocol documents on its `allocate`. No request is silently
-//! ignored.
+//! `Faithful` (which the `jump` and `level-batched` aliases parse to)
+//! runs the faithful per-contact rounds. Those rounds are the family's
+//! only path with exact final loads: the round-occupancy engine's large
+//! rounds are exact only up to the moment-matched regimes of
+//! `split_binomial` (variance above 4) and [`hypergeometric`] (above 8
+//! draws), plus the approximations each protocol documents on its
+//! `allocate`. No request is silently ignored.
 //!
 //! [`occupancy_profile`]: bib_core::histogram::occupancy_profile
 //! [`block_composition`]: bib_core::histogram::block_composition
@@ -61,8 +60,7 @@ use bib_rng::Rng64;
 pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64) -> Engine {
     match engine {
         Engine::Auto => Engine::auto_scheduled(n, m),
-        Engine::Histogram => Engine::Histogram,
-        Engine::Faithful | Engine::LevelBatched => Engine::Faithful,
+        engine => engine,
     }
 }
 
@@ -155,10 +153,6 @@ mod tests {
         assert_eq!(
             resolve_round_engine(Engine::Histogram, 8, 8),
             Engine::Histogram
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::LevelBatched, 8, 8),
-            Engine::Faithful
         );
         assert_eq!(resolve_round_engine(Engine::Auto, 8, 8), Engine::Faithful);
         assert_eq!(

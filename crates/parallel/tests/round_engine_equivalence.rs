@@ -477,8 +477,8 @@ fn auto_resolves_deterministically_and_matches_stream() {
 
 #[test]
 fn alias_engines_share_their_concrete_path() {
-    // Jump parses as faithful, and LevelBatched (exact final loads)
-    // runs the faithful rounds — documented resolution, not silence.
+    // Jump and level-batched parse as faithful, so both run the
+    // faithful rounds — documented resolution, not silence.
     let n = 512usize;
     for proto in [
         Box::new(Collision::new(1)) as Box<dyn DynProtocol>,
@@ -487,7 +487,7 @@ fn alias_engines_share_their_concrete_path() {
     ] {
         for (alias, concrete) in [
             ("jump".parse().unwrap(), Engine::Faithful),
-            (Engine::LevelBatched, Engine::Faithful),
+            ("level-batched".parse().unwrap(), Engine::Faithful),
         ] {
             let a = run_protocol(
                 proto.as_ref(),

@@ -4,7 +4,7 @@
 //! balls-into-bins list
 //! balls-into-bins constants
 //! balls-into-bins run --protocol adaptive --n 10000 --m 1000000 \
-//!     [--seed 2013] [--engine faithful|level-batched|histogram|auto] [--reps 1] [--trace]
+//!     [--seed 2013] [--engine faithful|histogram|auto] [--reps 1] [--trace]
 //! balls-into-bins serve --n 100000 --arrivals 10000000 --ticks 1000 \
 //!     [--depart 0.05] [--family greedy[2]] [--faults crash@200:0.5,recover@400:all] \
 //!     [--seed 2013] [--series] [--poisson] \
@@ -28,7 +28,8 @@
 //! the per-tick CSV (tick, in-system, gap, max load, alive ppm,
 //! cumulative counters).
 //!
-//! Out-of-range input (`--n 0`, `left[2]` with one bin,
+//! Out-of-range input (`--n 0`, an `--m` whose bound `⌈m/n⌉ + 1` does
+//! not fit `u32`, `left[2]` with one bin,
 //! `bounded-load(cap=0)`, `--ticks 0`, a zero probe or retry budget,
 //! `greedy[d]` with `d` above the probe budget, a fallback fraction
 //! outside [0, 1], a budget that does not fit `u32`) is reported as an
@@ -57,7 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  balls-into-bins list\n  balls-into-bins constants\n  \
          balls-into-bins run --protocol <name> --n <bins> --m <balls>\n      \
-         [--seed <u64>] [--engine faithful|level-batched|histogram|auto] [--reps <count>] [--trace]\n  \
+         [--seed <u64>] [--engine faithful|histogram|auto] [--reps <count>] [--trace]\n  \
          balls-into-bins serve --n <bins> --arrivals <balls> --ticks <ticks>\n      \
          [--depart <p>] [--family one-choice|greedy[d]|adaptive|threshold] [--poisson]\n      \
          [--faults kind@tick:frac[,...]] [--seed <u64>] [--series]\n      \
@@ -171,6 +172,10 @@ fn main() {
             };
             if n == 0 {
                 eprintln!("error: --n must be at least 1");
+                usage()
+            }
+            if RunConfig::new(n, m).max_load_bound() > u64::from(u32::MAX) {
+                eprintln!("error: --m {m} is too large for --n {n}: ⌈m/n⌉ + 1 must fit in u32");
                 usage()
             }
             if pname == "left[2]" && n < 2 {

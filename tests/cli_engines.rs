@@ -1,7 +1,7 @@
 //! Engine names that alias the faithful retry loop print exactly the
-//! faithful run: `jump` always, `level-batched` whenever the acceptance
-//! bound changes during the run (`adaptive`, `adaptive-tight` at
-//! `m > n`), and `run` with no `--engine` at all.
+//! faithful run: `jump`, `level-batched`, and `run` with no `--engine`
+//! at all, whether the acceptance bound changes during the run
+//! (`adaptive`, `adaptive-tight` at `m > n`) or not (`threshold`).
 
 use std::process::Command;
 
@@ -32,7 +32,7 @@ fn run_stdout(protocol: &str, engine: Option<&str>) -> String {
 
 #[test]
 fn faithful_aliases_print_identical_csv() {
-    for protocol in ["adaptive", "adaptive-tight"] {
+    for protocol in ["adaptive", "adaptive-tight", "threshold"] {
         let faithful = run_stdout(protocol, Some("faithful"));
         assert_eq!(faithful.lines().count(), 4, "header + 3 replicates");
         for alias in [Some("jump"), Some("level-batched"), None] {

@@ -94,6 +94,60 @@ fn out_of_range_input_is_an_error_not_a_panic() {
             [&serve[..], &["--family", "greedy[17]"]].concat(),
             "--probe-budget",
         ),
+        // ⌈m/n⌉ + 1 must fit the u32 load range.
+        (
+            vec![
+                "run",
+                "--protocol",
+                "threshold",
+                "--n",
+                "2",
+                "--m",
+                "8589934600",
+            ],
+            "--m",
+        ),
+        (
+            vec![
+                "run",
+                "--protocol",
+                "one-choice",
+                "--n",
+                "1",
+                "--m",
+                "4294967296",
+                "--engine",
+                "histogram",
+            ],
+            "--m",
+        ),
+        (
+            vec![
+                "run",
+                "--protocol",
+                "adaptive",
+                "--n",
+                "4",
+                "--m",
+                "18446744073709551615",
+                "--engine",
+                "histogram",
+            ],
+            "--m",
+        ),
+        // At n = 1 the bound ⌈m/n⌉ + 1 itself would overflow u64.
+        (
+            vec![
+                "run",
+                "--protocol",
+                "threshold",
+                "--n",
+                "1",
+                "--m",
+                "18446744073709551615",
+            ],
+            "--m",
+        ),
     ];
     for (args, flag) in cases {
         let (code, stderr) = exit_and_stderr(&args);

@@ -4,8 +4,8 @@
 //! `(protocol, RunConfig, seed)` triple must reproduce the same
 //! [`Outcome`] bit for bit, on any machine and any run. This is what
 //! makes the paper's tables reproducible and the engine-equivalence
-//! claims (faithful retry loop ≡ level-batched ≡ histogram engine, in
-//! distribution) testable at all.
+//! claims (faithful retry loop ≡ histogram engine, in distribution)
+//! testable at all.
 
 use balls_into_bins::core::prelude::*;
 use balls_into_bins::core::protocols::by_name;

@@ -34,7 +34,7 @@ fn mass_is_conserved_for_every_protocol_and_config() {
 fn paper_protocols_never_violate_max_load_bound() {
     // The defining property: max load ≤ ⌈m/n⌉ + 1 on EVERY run.
     for cfg in configs() {
-        for engine in [Engine::Faithful, Engine::LevelBatched] {
+        for engine in Engine::ALL {
             let cfg = cfg.with_engine(engine);
             for seed in 0..10u64 {
                 let a = run_protocol(&Adaptive::paper(), &cfg, seed);

@@ -62,7 +62,7 @@ fn adaptive_gap_at_quarter_million_bins() {
 }
 
 /// Faithful engine at moderate-heavy scale: agreement with the
-/// level-batched engine on the time ratio within 1%.
+/// histogram engine on the time ratio within 1%.
 #[test]
 #[ignore = "heavy: faithful engine, m = 8.4M"]
 fn faithful_engine_full_agreement() {
@@ -72,9 +72,9 @@ fn faithful_engine_full_agreement() {
         let cfg = RunConfig::new(n, m).with_engine(engine);
         run_protocol(&Threshold, &cfg, 4).time_ratio()
     };
-    let (faithful, batched) = (ratio(Engine::Faithful), ratio(Engine::LevelBatched));
+    let (faithful, histogram) = (ratio(Engine::Faithful), ratio(Engine::Histogram));
     assert!(
-        (faithful - batched).abs() < 0.01,
-        "faithful {faithful} vs level-batched {batched}"
+        (faithful - histogram).abs() < 0.01,
+        "faithful {faithful} vs histogram {histogram}"
     );
 }
