@@ -81,8 +81,8 @@ impl ExpArgs {
         }
     }
 
-    /// Parses `std::env::args`, panicking with a usage message on
-    /// unknown flags (these are internal tools; fail loudly).
+    /// Parses `std::env::args`. A bad or unknown flag prints `error:`
+    /// and the usage to stderr and exits with status 2.
     pub fn parse() -> Self {
         Self::parse_with(|_, _| false)
     }
@@ -90,61 +90,55 @@ impl ExpArgs {
     /// [`ExpArgs::parse`] with an escape hatch for binary-specific
     /// flags: `extra(flag, args)` returns `true` if it consumed the
     /// flag (pulling any value from `args` itself).
-    pub fn parse_with<F>(mut extra: F) -> Self
+    pub fn parse_with<F>(extra: F) -> Self
     where
         F: FnMut(&str, &mut std::env::Args) -> bool,
     {
-        let mut out = Self::new();
         let mut args = std::env::args();
-        args.next(); // program name
+        let program = args.next().unwrap_or_default();
+        Self::try_parse(args, extra).unwrap_or_else(|e| {
+            eprintln!(
+                "error: {e}\nusage: {program} [--quick] [--csv] [--no-loads] [--seed <u64>] \
+                 [--reps <u64>] [--engine faithful|histogram|auto] [--threads <n>] \
+                 [--out <path>]"
+            );
+            std::process::exit(2)
+        })
+    }
+
+    fn try_parse<F>(mut args: std::env::Args, mut extra: F) -> Result<Self, String>
+    where
+        F: FnMut(&str, &mut std::env::Args) -> bool,
+    {
+        fn value<T: std::str::FromStr>(
+            args: &mut std::env::Args,
+            flag: &str,
+            what: &str,
+        ) -> Result<T, String> {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} needs {what}"))
+        }
+        let mut out = Self::new();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
                 "--csv" => out.csv = true,
                 "--no-loads" => out.no_loads = true,
-                "--seed" => {
-                    out.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a u64");
-                }
-                "--reps" => {
-                    out.reps = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--reps needs a u64"),
-                    );
-                }
+                "--seed" => out.seed = value(&mut args, "--seed", "a u64")?,
+                "--reps" => out.reps = Some(value(&mut args, "--reps", "a u64")?),
                 "--engine" => {
-                    out.engine = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--engine needs faithful, histogram or auto"),
-                    );
+                    out.engine = Some(value(&mut args, "--engine", "faithful, histogram or auto")?);
                 }
                 "--threads" => {
-                    out.threads = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--threads needs a positive integer"),
-                    );
+                    out.threads = Some(value(&mut args, "--threads", "a positive integer")?);
                 }
-                "--out" => {
-                    out.out = Some(args.next().expect("--out needs a path"));
-                }
-                other => {
-                    if !extra(other, &mut args) {
-                        panic!(
-                            "unknown flag {other}; supported: --quick --csv --no-loads \
-                             --seed <u64> --reps <u64> \
-                             --engine <faithful|histogram|auto> \
-                             --threads <n> --out <path>"
-                        )
-                    }
-                }
+                "--out" => out.out = Some(value(&mut args, "--out", "a path")?),
+                other if extra(other, &mut args) => {}
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Picks the replicate count: explicit `--reps` wins, else `quick`

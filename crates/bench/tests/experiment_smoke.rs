@@ -250,11 +250,23 @@ fn extensions_hold_guarantees() {
 
 #[test]
 fn binaries_reject_unknown_flags() {
-    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .arg("--bogus")
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // A bad or unknown flag is a typed error: `error:` plus the usage
+    // on stderr and exit status 2, never a panic (status 101).
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_table1"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_lemma42"), &["--engine", "bogus"]),
+        (env!("CARGO_BIN_EXE_lemma42"), &["--seed"]),
+        (env!("CARGO_BIN_EXE_bench_json"), &["--reps", "-1"]),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("usage: "),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

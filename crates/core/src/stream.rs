@@ -44,10 +44,20 @@
 //! attempts reach. A law with one cell (no refusals and no slow bins,
 //! or nothing accepting) draws nothing. The `d` accepting contacts of
 //! a placed ball are `d` uniform accepting bins whatever the refusals
-//! before them, so the tick's placements are then the batch engine's
-//! exact least-of-`d` rank chain, [`place_least_of_d`], run on the
-//! accepting histogram: `d` rank draws per ball, no draw per refused
-//! or failed contact.
+//! before them, so for `d ≥ 2` the tick's placements are then the batch
+//! engine's exact least-of-`d` rank chain, [`place_least_of_d`], run on
+//! the accepting histogram: `d` rank draws per ball, no draw per
+//! refused or failed contact. At `d = 1` (one-choice, every fallback
+//! tick) the `K` placements are `K` uniform balls over the accepting
+//! bins, which `place_uniform_rounds` places in per-class Poisson rounds:
+//! every class draws its bins' hit counts at one mean, redrawn while
+//! their total exceeds the balls left, and the few balls a round leaves
+//! finish on the rank chain. A round runs only where its walk over the
+//! Poisson levels costs less than the chain, a comparison of the class
+//! count, the mean and the balls left. Its one approximation is
+//! [`split_binomial`]'s rounded normal above variance 4, the sampler
+//! the departures and fault moves already use; it has no
+//! hypergeometric draw.
 //!
 //! Adaptive and threshold outside a fallback accept a contact iff its
 //! load is below the bound, which does depend on the loads, so they
@@ -61,14 +71,16 @@
 //! faults and written back before its departures: the open count is
 //! one lookup, the placed ball's rank → load map one guide lookup and a
 //! short walk (expected O(1)) and its promote one decrement, which keeps
-//! heavy per-bin loads (spans of hundreds of levels) cheap.
+//! heavy per-bin loads (spans of hundreds of levels) cheap. The bound
+//! is recomputed only when the resident count crosses a multiple of the
+//! accepting bins, and a retry group's placements are booked once per
+//! sample count.
 //!
 //! Balls waiting for a retry are kept as groups of equal history
 //! (failed attempts, samples spent) with a count, so a retry group is
 //! priced in one split like the fresh arrivals. With no faults the
-//! draws are the per-contact chain's own: a one-choice or `greedy[d]`
-//! tick then has a one-cell law, and its rank draws come in the same
-//! order.
+//! draws are the per-contact chain's own: a `greedy[d]` tick then has
+//! a one-cell law, and its rank draws come in the same order.
 //!
 //! # Faults, retries, shedding
 //!
@@ -102,8 +114,8 @@
 
 use crate::faults::{FaultKind, FaultPlan};
 use crate::histogram::{
-    place_least_of_d, rounded_normal_count, split_binomial, split_binomial_counts,
-    OccupancyHistogram, RankIndex,
+    place_least_of_d, place_uniform_rounds, rounded_normal_count, split_binomial,
+    split_binomial_counts, OccupancyHistogram, RankIndex,
 };
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
@@ -882,22 +894,50 @@ fn drive<R: Rng64 + ?Sized>(
                     }
                 });
             }
-            if c.placed > before {
-                place_least_of_d(&mut classes.accept, d, c.placed - before, rng);
+            let mut placed = c.placed - before;
+            if d == 1 {
+                placed = place_uniform_rounds(&mut classes.accept, placed, rng);
+            }
+            if placed > 0 {
+                place_least_of_d(&mut classes.accept, d, placed, rng);
             }
         } else {
             // Below the bound: one ball, one contact at a time.
             let mut accept = RankIndex::build(&classes.accept);
             let slow_p = classes.slow as f64 / accept_n as f64;
+            // The bound `⌈share/accept_n⌉ + 1` holds while `share` stays
+            // at most `until`, the next multiple of `accept_n`.
+            let (mut bound, mut until) = (0, 0);
+            let mut resident = c.in_system;
+            // A retry group's placements by the samples they spent,
+            // booked once per group and sample count.
+            let mut placed_by_spent: Vec<u64> = Vec::new();
             for (h, balls) in groups {
                 for _ in 0..balls {
-                    let bound = match family {
-                        Family::Adaptive => fair_share_bound(c.in_system + 1, accept_n),
-                        _ => fair_share_bound(cfg.m, accept_n),
+                    let share = match family {
+                        Family::Adaptive => resident + 1,
+                        _ => cfg.m,
                     };
+                    if share > until {
+                        bound = fair_share_bound(share, accept_n);
+                        until = share.div_ceil(accept_n).saturating_mul(accept_n);
+                    }
                     match place_below(&mut accept, refusing, bound, slow_p, budget, rng) {
-                        Ok(spent) => c.book_placed(h, spent, 1, false),
+                        Ok(spent) => {
+                            let spent =
+                                usize::try_from(spent).expect("at most the probe budget + 1");
+                            if spent >= placed_by_spent.len() {
+                                placed_by_spent.resize(spent + 1, 0);
+                            }
+                            placed_by_spent[spent] += 1;
+                            resident += 1;
+                        }
                         Err(spent) => c.book_failed(h, spent, 1, tick),
+                    }
+                }
+                for (spent, balls) in placed_by_spent.iter_mut().enumerate() {
+                    if *balls > 0 {
+                        c.book_placed(h, spent as u64, std::mem::take(balls), false);
                     }
                 }
             }

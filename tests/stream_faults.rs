@@ -218,19 +218,50 @@ fn loads_words(out: &Outcome) -> impl Iterator<Item = u64> {
         .map(u64::from)
 }
 
+/// Digest of a serve run: its whole `TickStats` series and its final
+/// sorted loads.
+fn serve_digest(spec: &StreamSpec, family: Family, cfg: &RunConfig, seed: u64) -> u64 {
+    let report = serve(spec, family, cfg, seed);
+    let series = report.series.iter().flat_map(|t| {
+        [
+            t.tick,
+            t.in_system,
+            u64::from(t.gap),
+            u64::from(t.max_load),
+            u64::from(t.alive_ppm),
+            t.placed,
+            t.departed,
+            t.shed,
+            t.fallbacks,
+            t.samples,
+        ]
+    });
+    fnv1a(series.chain(loads_words(&report.outcome)))
+}
+
+/// The pinned serve cell: n = 2000, 170 ticks of 1000 arrivals,
+/// departure probability 0.1, probe budget 8.
+fn pinned_spec() -> (StreamSpec, RunConfig) {
+    let spec = StreamSpec::new(170, 0.1).with_retry(RetryPolicy {
+        probe_budget: 8,
+        ..RetryPolicy::default()
+    });
+    (spec, RunConfig::new(2_000, 170 * 1_000))
+}
+
 /// Draw-stream pins: a faulted serve run per family under the perfbench
-/// plan, digested over its whole `TickStats` series and its final sorted
-/// loads. Any change to the draws a serve run makes — the contact draws,
-/// the rank → load map, the fault splits, the departures — moves these.
-/// A change that alters the draw stream on purpose updates the pins and
-/// says so.
+/// plan, digested by [`serve_digest`]. Any change to the draws a serve
+/// run makes — the contact draws, the rank → load map, the fault
+/// splits, the departures, the one-choice placement of a fallback
+/// tick — moves these. A change that alters the draw stream on purpose
+/// updates the pins and says so.
 #[test]
 fn faulted_serve_draw_stream_is_pinned() {
     let pins = [
-        (Family::OneChoice, 0x0ee0_0672_ba31_f24cu64),
-        (Family::Greedy(2), 0xf669_e015_9831_4a9e),
-        (Family::Adaptive, 0x6982_3951_b0a7_8ad5),
-        (Family::Threshold, 0x0ead_473e_a2a9_32ba),
+        (Family::OneChoice, 0xdb0e_2aa3_c3c2_0869u64),
+        (Family::Greedy(2), 0xa5b1_0eb5_b16a_8a31),
+        (Family::Adaptive, 0x1ebb_4f6a_e858_a884),
+        (Family::Threshold, 0xb13d_77af_d8d5_f002),
     ];
     let seed = 5u64;
     let plan = FaultPlan::parse(
@@ -238,30 +269,30 @@ fn faulted_serve_draw_stream_is_pinned() {
         seed,
     )
     .expect("the pinned plan parses");
-    let spec = StreamSpec::new(170, 0.1)
-        .with_faults(plan)
-        .with_retry(RetryPolicy {
-            probe_budget: 8,
-            ..RetryPolicy::default()
-        });
-    let cfg = RunConfig::new(2_000, 170 * 1_000);
+    let (spec, cfg) = pinned_spec();
+    let spec = spec.with_faults(plan);
     for (family, pin) in pins {
-        let report = serve(&spec, family, &cfg, seed);
-        let series = report.series.iter().flat_map(|t| {
-            [
-                t.tick,
-                t.in_system,
-                u64::from(t.gap),
-                u64::from(t.max_load),
-                u64::from(t.alive_ppm),
-                t.placed,
-                t.departed,
-                t.shed,
-                t.fallbacks,
-                t.samples,
-            ]
-        });
-        let digest = fnv1a(series.chain(loads_words(&report.outcome)));
+        let digest = serve_digest(&spec, family, &cfg, seed);
+        assert_eq!(
+            digest, pin,
+            "{family:?}: draw stream moved to {digest:#018x}"
+        );
+    }
+}
+
+/// Draw-stream pins of fault-free serve runs of the families that never
+/// place a ball by the one-choice law: `greedy[2]` (least-of-2 rank
+/// chain), adaptive and threshold (per-contact below-bound chain).
+#[test]
+fn fault_free_serve_draw_stream_is_pinned() {
+    let pins = [
+        (Family::Greedy(2), 0x5d18_54bc_48ad_a08cu64),
+        (Family::Adaptive, 0x611f_eca4_411d_ad3e),
+        (Family::Threshold, 0x4967_caf7_c0f2_2b67),
+    ];
+    let (spec, cfg) = pinned_spec();
+    for (family, pin) in pins {
+        let digest = serve_digest(&spec, family, &cfg, 5);
         assert_eq!(
             digest, pin,
             "{family:?}: draw stream moved to {digest:#018x}"
