@@ -110,6 +110,55 @@ pub fn chi_square_uniform(observed: &[u64]) -> ChiSquare {
     chi_square_gof(observed, &probs, 0, 1.0)
 }
 
+/// Two-sample Pearson chi-square of "same distribution" on two count
+/// vectors over the same cells (two ensembles' histograms); returns the
+/// p-value.
+///
+/// Adjacent cells are pooled until each holds a combined count of at
+/// least 10, and a short remainder joins the last pooled cell. Two
+/// ensembles concentrated on one pooled cell give `1.0`.
+pub fn chi_square_two_sample(a: &[u64], b: &[u64]) -> f64 {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "chi_square_two_sample: cell counts differ"
+    );
+    let na: u64 = a.iter().sum();
+    let nb: u64 = b.iter().sum();
+    assert!(na > 0 && nb > 0, "chi_square_two_sample: an empty sample");
+    let (na, nb) = (na as f64, nb as f64);
+    let mut cells: Vec<(f64, f64)> = Vec::new();
+    let mut acc = (0.0, 0.0);
+    for (&x, &y) in a.iter().zip(b) {
+        acc.0 += x as f64;
+        acc.1 += y as f64;
+        if acc.0 + acc.1 >= 10.0 {
+            cells.push(acc);
+            acc = (0.0, 0.0);
+        }
+    }
+    if acc.0 + acc.1 > 0.0 {
+        if let Some(last) = cells.last_mut() {
+            last.0 += acc.0;
+            last.1 += acc.1;
+        } else {
+            cells.push(acc);
+        }
+    }
+    if cells.len() < 2 {
+        return 1.0;
+    }
+    let statistic: f64 = cells
+        .iter()
+        .map(|&(x, y)| {
+            let ex = (x + y) * na / (na + nb);
+            let ey = (x + y) * nb / (na + nb);
+            (x - ex) * (x - ex) / ex + (y - ey) * (y - ey) / ey
+        })
+        .sum();
+    chi_square_sf((cells.len() - 1) as u64, statistic)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +178,15 @@ mod tests {
         assert_eq!(r.statistic, 0.0);
         assert_eq!(r.dof, 3);
         assert!((r.p_value - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn two_sample_tells_equal_from_shifted_histograms() {
+        let a = [100, 200, 300, 200, 100];
+        assert!((chi_square_two_sample(&a, &a) - 1.0).abs() < 1e-12);
+        assert_eq!(chi_square_two_sample(&[0, 50, 0], &[0, 70, 0]), 1.0);
+        let shifted = [200, 300, 200, 100, 100];
+        assert!(chi_square_two_sample(&a, &shifted) < 1e-10);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary under `src/bin/`
-//! (see DESIGN.md §4 for the experiment index). This small library holds
-//! what they share: command-line handling and aligned-table/CSV output.
+//! (the README's "Experiment binaries (Table 1, Figure 3, …)" section
+//! is the experiment index). This small library holds what they share:
+//! command-line handling and aligned-table/CSV output.
 //!
 //! All binaries accept:
 //!

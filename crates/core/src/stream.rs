@@ -25,62 +25,75 @@
 //! `Binomial(ℓ, p)` per-bin departure law — exact, and `O(ℓ)` per
 //! class instead of `O(n)` per tick.
 //!
-//! # Pricing attempts: one split per retry group
+//! # Pricing attempts: one attempt law for every tick
 //!
 //! Within a tick the fleet's health and size hold still. A uniform
 //! contact is refused (dead or draining bin) with probability
 //! `refusing / n`; otherwise it reaches a uniform accepting bin and
 //! costs one sample, or two if that bin is slow (probability `slow /
-//! accepting`, independent of its load by exchangeability).
+//! accepting`, independent of its load by exchangeability). The bin is
+//! *open* if the family takes it. An attempt places once it has found
+//! `d` open contacts. The driver prices attempts with one law,
+//! `AttemptLaw` (at most `budget + 3` cells: placed after `d ..=
+//! budget + 1` samples, failed after `budget` or `budget + 1`). It
+//! splits a group of balls over the law with an exact conditional
+//! binomial chain, walking the cells by a DP over samples and open
+//! contacts found only as far as the group's attempts reach. A law with
+//! one cell (no refusals and no slow bins, or nothing open and no slow
+//! bins) draws nothing.
 //!
 //! One-choice, `greedy[d]` and every fallback tick are *load-blind*:
-//! an attempt places once it has found `d` accepting contacts (`d = 1`
-//! for one-choice and the fallback), so whether it places and how many
-//! samples it spends do not depend on the loads. The driver fixes that
-//! attempt law once per tick (`AttemptLaw`, at most `budget + 3`
-//! cells) and splits the arrivals and each retry group over it with an
-//! exact conditional binomial chain, walking the cells by a DP over
-//! samples and accepting contacts found only as far as the group's
-//! attempts reach. A law with one cell (no refusals and no slow bins,
-//! or nothing accepting) draws nothing. The `d` accepting contacts of
-//! a placed ball are `d` uniform accepting bins whatever the refusals
-//! before them, so for `d ≥ 2` the tick's placements are then the batch
-//! engine's exact least-of-`d` rank chain, [`place_least_of_d`], run on
-//! the accepting histogram: `d` rank draws per ball, no draw per
-//! refused or failed contact. At `d = 1` (one-choice, every fallback
-//! tick) the `K` placements are `K` uniform balls over the accepting
-//! bins, which `place_uniform_rounds` places in per-class Poisson rounds:
-//! every class draws its bins' hit counts at one mean, redrawn while
-//! their total exceeds the balls left, and the few balls a round leaves
-//! finish on the rank chain. A round runs only where its walk over the
-//! Poisson levels costs less than the chain, a comparison of the class
-//! count, the mean and the balls left. Its one approximation is
-//! [`split_binomial`]'s rounded normal above variance 4, the sampler
-//! the departures and fault moves already use; it has no
-//! hypergeometric draw.
+//! every accepting bin is open (`d = 1` for one-choice and the
+//! fallback), so whether an attempt places and how many samples it
+//! spends do not depend on the loads. The tick's law is fixed once, and
+//! the arrivals and each retry group take one split each. The `d`
+//! accepting contacts of a placed ball are `d` uniform accepting bins
+//! whatever the refusals before them, so for `d ≥ 2` the tick's
+//! placements are then the batch engine's exact least-of-`d` rank
+//! chain, [`place_least_of_d`], run on the accepting histogram: `d`
+//! rank draws per ball, no draw per refused or failed contact. At
+//! `d = 1` (one-choice, every fallback tick) the `K` placements are `K`
+//! uniform balls over the accepting bins, which `place_uniform_rounds`
+//! places in per-class Poisson rounds: every class draws its bins' hit
+//! counts at one mean, redrawn while their total exceeds the balls
+//! left, and the few balls a round leaves finish on the rank chain. A
+//! round runs only where its walk over the Poisson levels costs less
+//! than the chain, a comparison of the class count, the mean and the
+//! balls left. Its one approximation is [`split_binomial`]'s rounded
+//! normal above variance 4, the sampler the departures and fault moves
+//! already use; it has no hypergeometric draw.
 //!
-//! Adaptive and threshold outside a fallback accept a contact iff its
-//! load is below the bound, which does depend on the loads, so they
-//! keep a per-contact chain: each contact is one exact integer draw
-//! `r` over the fleet, the `refusing` bins first, then the accepting
-//! bins in ascending-load order. `r < refusing` is refused; otherwise
-//! `r − refusing` is the *rank* of a uniform accepting bin, and load is
-//! monotone in rank, so the contact is below the bound iff its rank is
-//! below [`RankIndex::open_below`]. Those ticks run on one
-//! [`RankIndex`] of the accepting histogram, built after the tick's
-//! faults and written back before its departures: the open count is
-//! one lookup, the placed ball's rank → load map one guide lookup and a
-//! short walk (expected O(1)) and its promote one decrement, which keeps
-//! heavy per-bin loads (spans of hundreds of levels) cheap. The bound
-//! is recomputed only when the resident count crosses a multiple of the
-//! accepting bins, and a retry group's placements are booked once per
-//! sample count.
+//! Adaptive and threshold outside a fallback run `Below(t)` ticks: a
+//! contact is open iff its load is below the bound, which depends on
+//! the loads. Those ticks run on one [`RankIndex`] of the accepting
+//! histogram, built after the tick's faults and written back before its
+//! departures. A contact is a uniform rank over the accepting bins in
+//! ascending-load order, and load is monotone in rank, so it is open iff
+//! its rank is below [`RankIndex::open_below`]. A placement only raises
+//! loads, so within one bound the open count never rises. The driver
+//! prices a `Below(t)` tick in batches (`below_tick`). Before any ball
+//! of a batch of at most `W` balls, at most `W − 1` bins have closed,
+//! so the open count stays within a *strip* of `W − 1` ranks below its
+//! value at the batch's start. A contact ranked below the strip is open
+//! for the whole batch; one at or above the start's open count is
+//! closed for it. One split over the law with the start's open count
+//! prices the batch. Each placed ball is *ambiguous*
+//! independently of its samples, with probability strip / open. A
+//! `Geometric` draw counts the sure placements before the next ambiguous
+//! one. Each sure placement lands on a uniform open bin: one rank draw,
+//! its load by one guide lookup and a short walk (expected O(1)), and a
+//! promote of one decrement, which keeps heavy per-bin loads (spans of
+//! hundreds of levels) cheap. An ambiguous ball is settled on the live
+//! index, and `place_below` finishes its attempt if its strip contact
+//! turns out closed. The bound is recomputed only when the resident count
+//! crosses a multiple of the accepting bins, and no batch straddles
+//! that. A retry group's attempts are booked once per sample count.
 //!
 //! Balls waiting for a retry are kept as groups of equal history
 //! (failed attempts, samples spent) with a count, so a retry group is
-//! priced in one split like the fresh arrivals. With no faults the
-//! draws are the per-contact chain's own: a `greedy[d]` tick then has
-//! a one-cell law, and its rank draws come in the same order.
+//! priced like the fresh arrivals. With no faults a `greedy[d]` tick
+//! has a one-cell law and draws only its ranks, in the order the
+//! per-contact chain would.
 //!
 //! # Faults, retries, shedding
 //!
@@ -120,7 +133,7 @@ use crate::histogram::{
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{Family, Scenario};
-use bib_rng::dist::{BinomialSampler, Distribution, PoissonSampler};
+use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler, PoissonSampler};
 use bib_rng::{Rng64, RngExt, SeedSequence};
 
 /// Retry, backoff and degradation policy of the streaming driver.
@@ -571,35 +584,45 @@ struct Attempt {
     samples: u64,
 }
 
-/// The exact law of one *load-blind* attempt — one that places once it
-/// has found `d` accepting contacts, whatever their loads (one-choice
-/// and the fallback at `d = 1`, `greedy[d]`). A contact is refused
-/// with probability `refusing / n`; otherwise it is accepting and
-/// costs `1 + Bernoulli(slow / accepting)` samples. The attempt runs
-/// while fewer than `budget` samples are spent, so a slow last contact
-/// ends it at `budget + 1`: the law has at most `budget + 3` cells
-/// (placed after `d ..= budget + 1` samples, failed after `budget` or
-/// `budget + 1`).
+/// The exact law of one attempt that places once it has found `d`
+/// *open* contacts. A contact is refused with probability `refusing /
+/// n`; otherwise it reaches a uniform accepting bin, costs `1 +
+/// Bernoulli(slow / accepting)` samples and is open with probability
+/// `open / accepting`, independent of its cost. The load-blind ticks
+/// (one-choice and the fallback at `d = 1`, `greedy[d]`) count every
+/// accepting bin as open; a `Below(t)` batch counts the bins below the
+/// bound at its start with `d = 1`. The attempt runs while fewer than
+/// `budget` samples are spent, so a slow last contact ends it at
+/// `budget + 1`: the law has at most `budget + 3` cells (placed after
+/// `d ..= budget + 1` samples, failed after `budget` or `budget + 1`).
 struct AttemptLaw {
-    /// `(samples, accepting contacts found, probability)` of a contact.
-    steps: [(usize, usize, f64); 3],
+    /// `(samples, open contacts found, probability)` of a contact:
+    /// plain or refused and not open, slow and not open, plain and
+    /// open, slow and open.
+    steps: [(usize, usize, f64); 4],
     d: usize,
     budget: usize,
 }
 
 impl AttemptLaw {
-    fn new(refusing: u64, accepting: u64, slow: u64, d: u32, budget: u64) -> Self {
+    fn new(refusing: u64, accepting: u64, open: u64, slow: u64, d: u32, budget: u64) -> Self {
+        debug_assert!(open <= accepting && slow <= accepting);
         let refuse = refusing as f64 / (refusing + accepting) as f64;
-        let slow_p = if accepting == 0 {
-            0.0
+        let (slow_p, open_p) = if accepting == 0 {
+            (0.0, 1.0)
         } else {
-            slow as f64 / accepting as f64
+            (
+                slow as f64 / accepting as f64,
+                open as f64 / accepting as f64,
+            )
         };
+        let (plain, late) = ((1.0 - refuse) * (1.0 - slow_p), (1.0 - refuse) * slow_p);
         Self {
             steps: [
-                (1, 0, refuse),
-                (1, 1, (1.0 - refuse) * (1.0 - slow_p)),
-                (2, 1, (1.0 - refuse) * slow_p),
+                (1, 0, refuse + plain * (1.0 - open_p)),
+                (2, 0, late * (1.0 - open_p)),
+                (1, 1, plain * open_p),
+                (2, 1, late * open_p),
             ],
             d: d as usize,
             budget: usize::try_from(budget).expect("the probe budget is a u32"),
@@ -611,8 +634,8 @@ impl AttemptLaw {
     /// (placed before failed), calling `f(cell, count)` once per cell
     /// that receives balls. A one-cell law draws nothing.
     ///
-    /// The cells come from a DP over (samples, accepting contacts
-    /// found) walked in ascending samples. A contact costs at most two
+    /// The cells come from a DP over (samples, open contacts found)
+    /// walked in ascending samples. A contact costs at most two
     /// samples, so three rows of `d` states are live at a time, and the
     /// walk stops once every ball has its cell: a large probe budget
     /// costs memory and time only as far as the attempts reach.
@@ -622,8 +645,9 @@ impl AttemptLaw {
         F: FnMut(Attempt, u64),
     {
         let (d, budget) = (self.d, self.budget);
-        if self.steps[0].2 >= 1.0 {
-            // Nothing accepts: every attempt spends the whole budget.
+        if self.steps[1..].iter().all(|&(_, _, p)| p == 0.0) {
+            // Nothing is open and no contact costs two samples: every
+            // attempt spends exactly the whole budget.
             if balls > 0 {
                 f(
                     Attempt {
@@ -696,12 +720,12 @@ impl AttemptLaw {
     }
 }
 
-/// Runs one attempt of a below-the-bound family (adaptive, threshold)
-/// against the accepting bins' rank index: a contact is accepted iff
-/// its load is below `bound`. `refusing` counts the dead and draining
-/// bins and `slow_p` is the slow share of the accepting ones.
-/// `Ok(samples)` placed a ball (already promoted in `accept`);
-/// `Err(samples)` exhausted the probe budget.
+/// Finishes the attempt of an ambiguous ball (see [`below_tick`])
+/// whose strip contact turned out closed: a contact is accepted iff its
+/// load is below `bound`, with `budget` the samples the attempt has
+/// left. `refusing` counts the dead and draining bins and `slow_p` is
+/// the slow share of the accepting ones. `Ok(samples)` placed the ball
+/// (already promoted in `accept`); `Err(samples)` exhausted the budget.
 ///
 /// Each contact is one exact draw `r` uniform on `[0, refusing +
 /// accepting)`. `r < refusing` is a dead or draining bin: the contact
@@ -744,6 +768,55 @@ fn place_below<R: Rng64 + ?Sized>(
     Err(samples)
 }
 
+/// Lands one placement on a uniform bin among the `open` lowest, all
+/// below `bound` (one rank draw, its load and a promote), and keeps
+/// `open` the count below the bound.
+fn land<R: Rng64 + ?Sized>(accept: &mut RankIndex, open: &mut u64, bound: u32, rng: &mut R) {
+    let load = accept.load_at_rank(rng.range_u64(*open));
+    accept.promote_one(load);
+    if load + 1 == bound {
+        *open -= 1;
+    }
+}
+
+/// Removes one ball, uniform among the `total` balls of `cells`
+/// (`(samples, balls)` pairs), and returns its samples.
+fn take_uniform<R: Rng64 + ?Sized>(cells: &mut [(u64, u64)], total: u64, rng: &mut R) -> u64 {
+    let mut r = rng.range_u64(total);
+    for (samples, balls) in cells.iter_mut() {
+        if r < *balls {
+            *balls -= 1;
+            return *samples;
+        }
+        r -= *balls;
+    }
+    unreachable!("the cells hold {total} balls")
+}
+
+/// Adds `balls` to the tally of attempts that spent `samples`.
+fn tally(by_samples: &mut Vec<u64>, samples: u64, balls: u64) {
+    let i = usize::try_from(samples).expect("at most the probe budget + 1");
+    if i >= by_samples.len() {
+        by_samples.resize(i + 1, 0);
+    }
+    by_samples[i] += balls;
+}
+
+/// Balls per `Below(t)` batch when `open` bins are below the bound and
+/// the fullest of them needs `depth` placements to reach it. A batch of
+/// `depth·w + 1` balls has a strip of `w` ranks and meets about `W·w/o`
+/// ambiguous placements; `w ≈ √(16·open/depth)` makes that about 16,
+/// which balances one split's few binomial draws against the ambiguous
+/// balls' draws. With nothing open no ball can place and one batch
+/// takes the whole group.
+fn batch_width(open: u64, depth: u64) -> u64 {
+    if open == 0 {
+        return u64::MAX;
+    }
+    let strip = (open.saturating_mul(16) / depth).isqrt().max(1);
+    depth.saturating_mul(strip).saturating_add(1)
+}
+
 /// The history balls awaiting a retry share: failed attempts so far
 /// and samples already spent.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -770,7 +843,24 @@ struct Ledger<'a> {
     latency: Option<&'a mut LatencyTail>,
 }
 
-impl Ledger<'_> {
+impl<'a> Ledger<'a> {
+    /// Zero counters and an empty backoff ring for `retry`.
+    fn new(retry: RetryPolicy, latency: Option<&'a mut LatencyTail>) -> Self {
+        Self {
+            arrivals: 0,
+            placed: 0,
+            departed: 0,
+            shed: 0,
+            fallbacks: 0,
+            in_system: 0,
+            total_samples: 0,
+            max_samples: 0,
+            ring: vec![Vec::new(); retry.backoff_cap.max(1) as usize + 1],
+            retry,
+            latency,
+        }
+    }
+
     /// Books `balls` balls of history `h` that each placed after
     /// `spent` more samples.
     fn book_placed(&mut self, h: History, spent: u64, balls: u64, fallback: bool) {
@@ -813,6 +903,145 @@ impl Ledger<'_> {
     }
 }
 
+/// Places a `Below(t)` tick (adaptive, and threshold outside a
+/// fallback): the retry groups in order, on the rank index of the
+/// accepting bins. A contact is accepted iff its load is below the
+/// bound `⌈share/accepting⌉ + 1`, where `share` is `fixed_share`
+/// (threshold's `m`) or, for adaptive (`None`), the resident count plus
+/// the ball itself. `width` forces the batch size (the law tests run it
+/// at fixed widths); `None` takes [`batch_width`].
+///
+/// A group is priced in batches of at most `W` balls, each inside one
+/// bound (adaptive's batch ends before the resident count can cross a
+/// multiple of the accepting bins). Let `o` be the open count at the
+/// batch's start and `depth` the placements the fullest open bin needs
+/// to reach the bound. Each ball places at most once, so before any
+/// ball of the batch at most `⌊(W − 1)/depth⌋` bins have closed: the
+/// open count stays in `[sure, o]` with `sure = o − ⌊(W − 1)/depth⌋`.
+/// A contact is a uniform fleet draw; rank its accepting bins against
+/// `o`. A rank at or above `o` is closed for the whole batch, and a
+/// rank below `sure` is open for the whole batch. So one [`AttemptLaw`]
+/// split with `o` open bins prices the batch exactly: a ball it fails
+/// fails, and a ball it places met its first contact below `o`, whose
+/// rank is uniform on `[0, o)` whatever the samples spent. That rank is
+/// below `sure` with probability `sure/o`, independently per ball; the
+/// rest are *ambiguous*. In ball order, a `Geometric(strip/o)` draw
+/// counts the sure placements before the next ambiguous one, with
+/// `strip = o − sure`. Each sure placement lands on a uniform open bin:
+/// given that a contact is open, its bin is uniform among the open
+/// bins. An ambiguous ball takes its samples uniformly from the priced
+/// placements not yet taken. Its contact, uniform on the strip, is open
+/// iff it falls below the live open count. If it is closed,
+/// [`place_below`] finishes the attempt on the live index with the
+/// budget it has left. `W = 1` leaves no strip and prices ball by ball.
+#[allow(clippy::too_many_arguments)]
+fn below_tick<R, G>(
+    accept: &mut RankIndex,
+    refusing: u64,
+    slow: u64,
+    budget: u64,
+    fixed_share: Option<u64>,
+    width: Option<u64>,
+    groups: G,
+    c: &mut Ledger<'_>,
+    tick: u64,
+    rng: &mut R,
+) where
+    R: Rng64 + ?Sized,
+    G: IntoIterator<Item = (History, u64)>,
+{
+    let accept_n = accept.n();
+    let slow_p = slow as f64 / accept_n as f64;
+    // The bound `⌈share/accept_n⌉ + 1` holds while `share` stays at
+    // most `until`, the next multiple of `accept_n`.
+    let (mut bound, mut until) = (0, 0);
+    let mut resident = c.in_system;
+    // A group's attempts by the samples they spent, booked once per
+    // group and sample count; a batch's priced placements.
+    let (mut placed_by_spent, mut failed_by_spent) = (Vec::new(), Vec::new());
+    let mut priced: Vec<(u64, u64)> = Vec::new();
+    for (h, balls) in groups {
+        let mut left = balls;
+        while left > 0 {
+            let share = fixed_share.unwrap_or(resident + 1);
+            if share > until {
+                bound = fair_share_bound(share, accept_n);
+                until = share.div_ceil(accept_n).saturating_mul(accept_n);
+            }
+            let open = accept.open_below(bound);
+            let depth = if open == 0 {
+                1
+            } else {
+                u64::from(bound - accept.load_at_rank(open - 1))
+            };
+            let mut batch = width.unwrap_or_else(|| batch_width(open, depth)).min(left);
+            if fixed_share.is_none() {
+                batch = batch.min(until - resident);
+            }
+            left -= batch;
+            let strip = open.min((batch - 1) / depth);
+            let sure = open - strip;
+            let mut placed = 0;
+            AttemptLaw::new(refusing, accept_n, open, slow, 1, budget).split(
+                batch,
+                rng,
+                |cell, k| {
+                    if cell.placed {
+                        priced.push((cell.samples, k));
+                        placed += k;
+                    } else {
+                        tally(&mut failed_by_spent, cell.samples, k);
+                    }
+                },
+            );
+            let gaps = (strip > 0).then(|| GeometricSampler::new(strip as f64 / open as f64));
+            let (mut live, mut untaken) = (open, placed);
+            while placed > 0 {
+                let run = gaps.map_or(placed, |g| (g.sample(rng) - 1).min(placed));
+                for _ in 0..run {
+                    land(accept, &mut live, bound, rng);
+                }
+                resident += run;
+                placed -= run;
+                if placed == 0 {
+                    break;
+                }
+                placed -= 1;
+                let spent = take_uniform(&mut priced, untaken, rng);
+                untaken -= 1;
+                if rng.range_u64(strip) < live - sure {
+                    land(accept, &mut live, bound, rng);
+                    resident += 1;
+                    tally(&mut placed_by_spent, spent, 1);
+                    continue;
+                }
+                let rest = budget.saturating_sub(spent);
+                match place_below(accept, refusing, bound, slow_p, rest, rng) {
+                    Ok(more) => {
+                        live = accept.open_below(bound);
+                        resident += 1;
+                        tally(&mut placed_by_spent, spent + more, 1);
+                    }
+                    Err(more) => tally(&mut failed_by_spent, spent + more, 1),
+                }
+            }
+            for (spent, k) in priced.drain(..) {
+                tally(&mut placed_by_spent, spent, k);
+            }
+        }
+        for (spent, balls) in placed_by_spent.iter_mut().enumerate() {
+            if *balls > 0 {
+                c.book_placed(h, spent as u64, std::mem::take(balls), false);
+            }
+        }
+        for (spent, balls) in failed_by_spent.iter_mut().enumerate() {
+            if *balls > 0 {
+                c.book_failed(h, spent as u64, std::mem::take(balls), tick);
+            }
+        }
+    }
+}
+
 /// The collapsed serial stream driver. `series`/`latency` are optional
 /// so the `Protocol::allocate` path pays nothing for observability.
 fn drive<R: Rng64 + ?Sized>(
@@ -843,20 +1072,8 @@ fn drive<R: Rng64 + ?Sized>(
     let n_total = cfg.n as u64;
     let budget = retry.probe_budget as u64;
     let mut classes = Classes::fresh(cfg.n);
-    let ring_len = retry.backoff_cap.max(1) as usize + 1;
-    let mut c = Ledger {
-        arrivals: 0,
-        placed: 0,
-        departed: 0,
-        shed: 0,
-        fallbacks: 0,
-        in_system: 0,
-        total_samples: 0,
-        max_samples: 0,
-        ring: vec![Vec::new(); ring_len],
-        retry,
-        latency,
-    };
+    let mut c = Ledger::new(retry, latency);
+    let ring_len = c.ring.len() as u64;
 
     for tick in 0..spec.ticks {
         apply_faults(&mut classes, &spec.faults, tick);
@@ -867,7 +1084,7 @@ fn drive<R: Rng64 + ?Sized>(
             && (accept_n as f64) < retry.fallback_alive_frac * n_total as f64;
 
         // Due retries first (they have been waiting), then arrivals.
-        let due = std::mem::take(&mut c.ring[(tick % ring_len as u64) as usize]);
+        let due = std::mem::take(&mut c.ring[(tick % ring_len) as usize]);
         let arrivals = arrival_count(cfg.m, spec.ticks, tick, spec.poisson, rng);
         c.arrivals += arrivals;
         let groups = due
@@ -883,7 +1100,7 @@ fn drive<R: Rng64 + ?Sized>(
         if let Some(d) = least_of {
             // Load-blind: price every group on the tick's attempt law,
             // then place the tick's successes.
-            let law = AttemptLaw::new(refusing, accept_n, classes.slow, d, budget);
+            let law = AttemptLaw::new(refusing, accept_n, accept_n, classes.slow, d, budget);
             let before = c.placed;
             for (h, balls) in groups {
                 law.split(balls, rng, |cell, k| {
@@ -902,45 +1119,20 @@ fn drive<R: Rng64 + ?Sized>(
                 place_least_of_d(&mut classes.accept, d, placed, rng);
             }
         } else {
-            // Below the bound: one ball, one contact at a time.
             let mut accept = RankIndex::build(&classes.accept);
-            let slow_p = classes.slow as f64 / accept_n as f64;
-            // The bound `⌈share/accept_n⌉ + 1` holds while `share` stays
-            // at most `until`, the next multiple of `accept_n`.
-            let (mut bound, mut until) = (0, 0);
-            let mut resident = c.in_system;
-            // A retry group's placements by the samples they spent,
-            // booked once per group and sample count.
-            let mut placed_by_spent: Vec<u64> = Vec::new();
-            for (h, balls) in groups {
-                for _ in 0..balls {
-                    let share = match family {
-                        Family::Adaptive => resident + 1,
-                        _ => cfg.m,
-                    };
-                    if share > until {
-                        bound = fair_share_bound(share, accept_n);
-                        until = share.div_ceil(accept_n).saturating_mul(accept_n);
-                    }
-                    match place_below(&mut accept, refusing, bound, slow_p, budget, rng) {
-                        Ok(spent) => {
-                            let spent =
-                                usize::try_from(spent).expect("at most the probe budget + 1");
-                            if spent >= placed_by_spent.len() {
-                                placed_by_spent.resize(spent + 1, 0);
-                            }
-                            placed_by_spent[spent] += 1;
-                            resident += 1;
-                        }
-                        Err(spent) => c.book_failed(h, spent, 1, tick),
-                    }
-                }
-                for (spent, balls) in placed_by_spent.iter_mut().enumerate() {
-                    if *balls > 0 {
-                        c.book_placed(h, spent as u64, std::mem::take(balls), false);
-                    }
-                }
-            }
+            let fixed_share = matches!(family, Family::Threshold).then_some(cfg.m);
+            below_tick(
+                &mut accept,
+                refusing,
+                classes.slow,
+                budget,
+                fixed_share,
+                None,
+                groups,
+                &mut c,
+                tick,
+                rng,
+            );
             accept.write_back(&mut classes.accept);
         }
 
@@ -1294,6 +1486,7 @@ mod tests {
         AttemptLaw::new(
             c.dead.n() + c.drain.n(),
             c.accept.n(),
+            c.accept.n(),
             c.slow,
             d,
             ORACLE_BUDGET,
@@ -1432,16 +1625,16 @@ mod tests {
         // budget. Either way the whole group lands in one cell without
         // a draw, however large the budget.
         let cases = [
-            (AttemptLaw::new(0, 1_000, 0, 1, 8), true, 1),
-            (AttemptLaw::new(0, 1_000, 0, 5, 8), true, 5),
+            (AttemptLaw::new(0, 1_000, 1_000, 0, 1, 8), true, 1),
+            (AttemptLaw::new(0, 1_000, 1_000, 0, 5, 8), true, 5),
             (
-                AttemptLaw::new(0, 1_000, 0, 2, u64::from(u32::MAX)),
+                AttemptLaw::new(0, 1_000, 1_000, 0, 2, u64::from(u32::MAX)),
                 true,
                 2,
             ),
-            (AttemptLaw::new(500, 0, 0, 1, 8), false, 8),
+            (AttemptLaw::new(500, 0, 0, 0, 1, 8), false, 8),
             (
-                AttemptLaw::new(500, 0, 0, 2, u64::from(u32::MAX)),
+                AttemptLaw::new(500, 0, 0, 0, 2, u64::from(u32::MAX)),
                 false,
                 u64::from(u32::MAX),
             ),
@@ -1453,6 +1646,301 @@ mod tests {
             law.split(12_345, &mut rng, |cell, k| cells.push((cell, k)));
             assert_eq!(cells, vec![(Attempt { placed, samples }, 12_345)]);
             assert_eq!(rng.next_u64(), probe.next_u64(), "the split drew");
+        }
+    }
+
+    #[test]
+    fn attempt_law_with_every_accepting_bin_open_is_the_load_blind_law() {
+        // Counting every accepting bin open leaves no closed contact:
+        // the cells, and so the split's draws, are the load-blind law's
+        // three contact kinds (refused; plain accepting; slow accepting)
+        // bit for bit.
+        for (refusing, accepting, slow, d, budget) in [
+            (0u64, 1_000u64, 0u64, 1u32, 8u64),
+            (300, 700, 100, 1, 8),
+            (1_234, 567, 89, 2, 16),
+            (9, 1, 1, 3, 5),
+            (500, 0, 0, 1, 8),
+        ] {
+            let law = AttemptLaw::new(refusing, accepting, accepting, slow, d, budget);
+            let refuse = refusing as f64 / (refusing + accepting) as f64;
+            let slow_p = if accepting == 0 {
+                0.0
+            } else {
+                slow as f64 / accepting as f64
+            };
+            let load_blind = [
+                (1, 0, refuse),
+                (2, 0, 0.0),
+                (1, 1, (1.0 - refuse) * (1.0 - slow_p)),
+                (2, 1, (1.0 - refuse) * slow_p),
+            ];
+            for (got, want) in law.steps.iter().zip(load_blind) {
+                assert_eq!((got.0, got.1), (want.0, want.1));
+                assert_eq!(got.2.to_bits(), want.2.to_bits(), "{got:?} vs {want:?}");
+            }
+        }
+    }
+
+    /// The whole-tick oracle fixture: four accepting bins (one slow),
+    /// one refusing bin, probe budget 3, and two retry groups whose
+    /// histories keep their sample totals apart.
+    const TICK_LOADS: [u32; 4] = [0, 1, 1, 2];
+    const TICK_REFUSING: u64 = 1;
+    const TICK_SLOW: u64 = 1;
+    const TICK_BUDGET: u64 = 3;
+    const TICK_GROUPS: [(History, u64); 2] = [
+        (
+            History {
+                attempts: 1,
+                samples: 10,
+            },
+            2,
+        ),
+        (
+            History {
+                attempts: 0,
+                samples: 0,
+            },
+            3,
+        ),
+    ];
+
+    /// What a tick leaves: the sorted accepting loads, and the attempts
+    /// it booked, keyed `(placed, attempts, samples)` with the history
+    /// included (placed balls by their total samples alone, failed ones
+    /// by the history they retry with).
+    type TickCell = (Vec<u32>, BTreeMap<(bool, u32, u64), u64>);
+
+    /// Exact law of one below-the-bound attempt on `loads` (the
+    /// accepting bins) beside `refusing` bins, `slow` of the accepting
+    /// ones slow: cells `(landing load, samples)`, `None` for a spent
+    /// budget. Every contact is a uniform fleet bin.
+    fn below_ball_law(
+        loads: &[u32],
+        bound: u32,
+        refusing: u64,
+        slow: u64,
+        budget: u64,
+    ) -> BTreeMap<(Option<u32>, u64), f64> {
+        let fleet = (loads.len() as u64 + refusing) as f64;
+        let slow_p = slow as f64 / loads.len() as f64;
+        let mut law = BTreeMap::new();
+        let mut states = BTreeMap::from([(0u64, 1.0f64)]);
+        while let Some((s, p)) = states.pop_first() {
+            if s >= budget {
+                *law.entry((None, s)).or_insert(0.0) += p;
+                continue;
+            }
+            *states.entry(s + 1).or_insert(0.0) += p * refusing as f64 / fleet;
+            for (cost, pc) in [(1u64, 1.0 - slow_p), (2, slow_p)] {
+                for &l in loads {
+                    let q = p * pc / fleet;
+                    if l < bound {
+                        *law.entry((Some(l), s + cost)).or_insert(0.0) += q;
+                    } else {
+                        *states.entry(s + cost).or_insert(0.0) += q;
+                    }
+                }
+            }
+        }
+        law
+    }
+
+    /// Exact law of a whole `Below(t)` tick on the fixture, ball by ball
+    /// in group order, each under the bound its share gives it.
+    fn tick_oracle(fixed_share: Option<u64>) -> BTreeMap<TickCell, f64> {
+        let mut states = BTreeMap::from([((TICK_LOADS.to_vec(), BTreeMap::new()), 1.0)]);
+        for (h, balls) in TICK_GROUPS {
+            for _ in 0..balls {
+                let mut next: BTreeMap<TickCell, f64> = BTreeMap::new();
+                for ((loads, booked), p) in states {
+                    let resident: u64 = loads.iter().map(|&l| u64::from(l)).sum();
+                    let share = fixed_share.unwrap_or(resident + 1);
+                    let bound = fair_share_bound(share, loads.len() as u64);
+                    let law = below_ball_law(&loads, bound, TICK_REFUSING, TICK_SLOW, TICK_BUDGET);
+                    for ((landed, spent), q) in law {
+                        let (mut loads, mut booked) = (loads.clone(), booked.clone());
+                        let key = match landed {
+                            Some(l) => {
+                                let i = loads.iter().rposition(|&x| x == l).expect("a bin there");
+                                loads[i] += 1;
+                                (true, 0, h.samples + spent)
+                            }
+                            None => (false, h.attempts + 1, h.samples + spent),
+                        };
+                        *booked.entry(key).or_insert(0) += 1;
+                        *next.entry((loads, booked)).or_insert(0.0) += p * q;
+                    }
+                }
+                states = next;
+            }
+        }
+        states
+    }
+
+    /// One `Below(t)` tick of `groups` from `loads` through the driver's
+    /// batches at width `width`, read back as a [`TickCell`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_below_tick<R: Rng64 + ?Sized>(
+        loads: &[u32],
+        refusing: u64,
+        slow: u64,
+        budget: u64,
+        fixed_share: Option<u64>,
+        width: Option<u64>,
+        groups: &[(History, u64)],
+        rng: &mut R,
+    ) -> TickCell {
+        let mut hist = OccupancyHistogram::from_loads(loads);
+        let mut accept = RankIndex::build(&hist);
+        let mut tail = LatencyTail::new();
+        let mut c = Ledger::new(RetryPolicy::default(), Some(&mut tail));
+        c.in_system = hist.total_balls();
+        below_tick(
+            &mut accept,
+            refusing,
+            slow,
+            budget,
+            fixed_share,
+            width,
+            groups.iter().copied(),
+            &mut c,
+            0,
+            rng,
+        );
+        accept.write_back(&mut hist);
+        let mut booked = BTreeMap::new();
+        for &(h, balls) in c.ring.iter().flatten() {
+            *booked.entry((false, h.attempts, h.samples)).or_insert(0) += balls;
+        }
+        drop(c);
+        for (i, &balls) in tail.buckets.iter().enumerate() {
+            if balls > 0 {
+                booked.insert((true, 0, i as u64 + 1), balls);
+            }
+        }
+        (hist.to_sorted_loads(), booked)
+    }
+
+    #[test]
+    fn below_tick_matches_exact_law_at_every_width() {
+        // Threshold's bound 2 closes the open bins within the tick;
+        // adaptive's bound starts at 3 and moves to 4 once the resident
+        // count passes 8. Widths 1 (ball by ball) to 5 (the whole tick
+        // in one batch) must all run the per-contact law.
+        use bib_analysis::chisq::chi_square_gof;
+        const TICKS: u64 = 100_000;
+        for (i, fixed_share) in [Some(4u64), None].into_iter().enumerate() {
+            let law = tick_oracle(fixed_share);
+            assert!((law.values().sum::<f64>() - 1.0).abs() < 1e-12);
+            for width in [1u64, 2, 3, 5] {
+                let mut rng = SeedSequence::new(41).child(i as u64).child(width).rng();
+                let mut tally: BTreeMap<TickCell, u64> = BTreeMap::new();
+                for _ in 0..TICKS {
+                    let cell = run_below_tick(
+                        &TICK_LOADS,
+                        TICK_REFUSING,
+                        TICK_SLOW,
+                        TICK_BUDGET,
+                        fixed_share,
+                        Some(width),
+                        &TICK_GROUPS,
+                        &mut rng,
+                    );
+                    *tally.entry(cell).or_insert(0) += 1;
+                }
+                for cell in tally.keys() {
+                    assert!(
+                        law.contains_key(cell),
+                        "share {fixed_share:?}, W = {width}: impossible cell {cell:?}"
+                    );
+                }
+                let observed: Vec<u64> = law
+                    .keys()
+                    .map(|k| tally.get(k).copied().unwrap_or(0))
+                    .collect();
+                let probs: Vec<f64> = law.values().copied().collect();
+                let gof = chi_square_gof(&observed, &probs, 0, 5.0);
+                assert!(
+                    gof.p_value > 1e-4,
+                    "share {fixed_share:?}, W = {width}: {gof:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn below_tick_with_nothing_open_fails_every_ball_without_landing() {
+        // Threshold's bound 2 sits at the minimum load: nothing is
+        // open, one batch takes the whole group, and every ball fails
+        // on its budget. Without slow bins each spends exactly the
+        // budget and the tick draws nothing; with them it draws only
+        // the law's split, so no draw goes to a landing.
+        let loads = [2u32, 2, 3, 5];
+        let group = [(History::default(), 1_000)];
+        for slow in [0u64, 2] {
+            let mut rng = SeedSequence::new(43).child(slow).rng();
+            let mut probe = rng;
+            let (after, booked) =
+                run_below_tick(&loads, 3, slow, 4, Some(4), None, &group, &mut rng);
+            assert_eq!(after, loads);
+            assert_eq!(booked.values().sum::<u64>(), 1_000);
+            for &(placed, attempts, samples) in booked.keys() {
+                assert!(!placed && attempts == 1 && (4..=5).contains(&samples));
+            }
+            if slow == 0 {
+                assert_eq!(booked.get(&(false, 1, 4)), Some(&1_000));
+            }
+            AttemptLaw::new(3, 4, 0, slow, 1, 4).split(1_000, &mut probe, |_, _| {});
+            assert_eq!(rng.next_u64(), probe.next_u64(), "a landing drew");
+        }
+    }
+
+    #[test]
+    fn batched_adaptive_tick_matches_ball_by_ball_across_bound_moves() {
+        // n = 1000 accepting bins at loads 0, 1, 2 (1000 resident); a
+        // tick of 3000 fresh balls plus a retry group moves adaptive's
+        // bound three times. Refused contacts and slow bins under a
+        // budget of 2 make the failures common. The automatic widths
+        // against W = 1, on the pooled class counts, the placements by
+        // samples and the failures by samples.
+        const REPS: u64 = 300;
+        let loads: Vec<u32> = (0..1_000u32).map(|i| i % 3).collect();
+        let groups = [
+            (
+                History {
+                    attempts: 1,
+                    samples: 2,
+                },
+                200,
+            ),
+            (History::default(), 3_000),
+        ];
+        let mut sides = Vec::new();
+        for (i, width) in [None, Some(1u64)].into_iter().enumerate() {
+            let mut rng = SeedSequence::new(47).child(i as u64).rng();
+            let (mut classes, mut placed, mut failed) =
+                (vec![0u64; 16], vec![0u64; 8], vec![0u64; 8]);
+            for _ in 0..REPS {
+                let (after, booked) =
+                    run_below_tick(&loads, 600, 150, 2, None, width, &groups, &mut rng);
+                for l in after {
+                    classes[l as usize] += 1;
+                }
+                for ((is_placed, _, samples), balls) in booked {
+                    let by = if is_placed { &mut placed } else { &mut failed };
+                    by[samples as usize] += balls;
+                }
+            }
+            sides.push([classes, placed, failed]);
+        }
+        for (what, (a, b)) in ["class counts", "placed by samples", "failed by samples"]
+            .into_iter()
+            .zip(sides[0].iter().zip(&sides[1]))
+        {
+            let p = bib_analysis::chisq::chi_square_two_sample(a, b);
+            assert!(p > 1e-4, "{what}: p = {p}, batched {a:?} vs W = 1 {b:?}");
         }
     }
 

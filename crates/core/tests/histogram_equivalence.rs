@@ -21,48 +21,9 @@
 //! * `Engine::Auto` resolution: deterministic, valid, and identical to
 //!   the concrete engine it resolves to.
 
-use bib_analysis::chisq::chi_square_sf;
+use bib_analysis::chisq::chi_square_two_sample;
 use bib_core::prelude::*;
 use bib_core::run::run_protocol;
-
-/// Two-sample Pearson chi-square on a pair of histograms with pooling
-/// of sparse cells; returns the p-value of "same distribution".
-fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let na: u64 = a.iter().sum();
-    let nb: u64 = b.iter().sum();
-    assert!(na > 0 && nb > 0);
-    let (na, nb) = (na as f64, nb as f64);
-    let mut cells: Vec<(f64, f64)> = Vec::new();
-    let mut acc = (0.0, 0.0);
-    for (&x, &y) in a.iter().zip(b) {
-        acc.0 += x as f64;
-        acc.1 += y as f64;
-        if acc.0 + acc.1 >= 10.0 {
-            cells.push(acc);
-            acc = (0.0, 0.0);
-        }
-    }
-    if acc.0 + acc.1 > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += acc.0;
-            last.1 += acc.1;
-        } else {
-            cells.push(acc);
-        }
-    }
-    if cells.len() < 2 {
-        return 1.0;
-    }
-    let mut stat = 0.0;
-    for &(x, y) in &cells {
-        let tot = x + y;
-        let ex = tot * na / (na + nb);
-        let ey = tot * nb / (na + nb);
-        stat += (x - ex) * (x - ex) / ex + (y - ey) * (y - ey) / ey;
-    }
-    chi_square_sf((cells.len() - 1) as u64, stat)
-}
 
 /// Histograms a per-outcome statistic over replicate ensembles of the
 /// faithful and histogram engines.
@@ -174,25 +135,25 @@ fn chi_square_bin0_load_small_cases() {
     // Tiny runs: m < 32 runs only the exact per-ball tail, so these pin
     // the collapsed chain itself (class selection, tail, reconstruction).
     let (a, b) = engine_histograms(&Threshold, 2, 4, 4000, 4, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > 1e-4,
         "threshold n=2 m=4 bin-0 load: p={p}\n{a:?}\n{b:?}"
     );
 
     let (a, b) = engine_histograms(&Adaptive::paper(), 2, 5, 4000, 4, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "adaptive n=2 m=5 bin-0 load: p={p}\n{a:?}\n{b:?}");
 
     let (a, b) = engine_histograms(&OneChoice, 4, 12, 4000, 8, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > 1e-4,
         "one-choice n=4 m=12 bin-0 load: p={p}\n{a:?}\n{b:?}"
     );
 
     let (a, b) = engine_histograms(&GreedyD::new(2), 4, 12, 4000, 8, |o| o.loads[0] as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > 1e-4,
         "greedy[2] n=4 m=12 bin-0 load: p={p}\n{a:?}\n{b:?}"
@@ -202,11 +163,11 @@ fn chi_square_bin0_load_small_cases() {
 #[test]
 fn chi_square_gap_matches_faithful_n8() {
     let (a, b) = engine_histograms(&Threshold, 8, 64, 3000, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "threshold n=8 gap: p={p}\n{a:?}\n{b:?}");
 
     let (a, b) = engine_histograms(&Adaptive::paper(), 8, 60, 3000, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "adaptive n=8 m=60 gap: p={p}\n{a:?}\n{b:?}");
 }
 
@@ -214,13 +175,13 @@ fn chi_square_gap_matches_faithful_n8() {
 fn chi_square_heavy_load_regime() {
     // m ≫ n engages the rounds with normal-approximated splits.
     let (a, b) = engine_histograms(&Threshold, 8, 8 * 1024, 1500, 8, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "threshold n=8 heavy gap: p={p}\n{a:?}\n{b:?}");
 
     let (a, b) = engine_histograms(&Adaptive::paper(), 8, 8 * 1024, 1500, 8, |o| {
         o.gap() as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "adaptive n=8 heavy gap: p={p}\n{a:?}\n{b:?}");
 
     // Lemma 4.2's Ψ at m = n², the statistic `lemma42` reports for its
@@ -229,7 +190,7 @@ fn chi_square_heavy_load_regime() {
     let (a, b) = engine_histograms(&Threshold, 64, 64 * 64, 1500, 24, |o| {
         (o.psi() / 32.0) as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "threshold n=64 m=n^2 psi: p={p}\n{a:?}\n{b:?}");
 }
 
@@ -239,17 +200,17 @@ fn chi_square_occupancy_walk_regime() {
     // split draws carry the run — the paths whose approximation error
     // these ensembles bound.
     let (a, b) = engine_histograms(&Threshold, 256, 256 * 64, 600, 10, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "threshold n=256 heavy gap: p={p}\n{a:?}\n{b:?}");
 
     let (a, b) = engine_histograms(&Adaptive::paper(), 256, 256 * 64, 600, 10, |o| {
         o.gap() as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "adaptive n=256 heavy gap: p={p}\n{a:?}\n{b:?}");
 
     let (a, b) = engine_histograms(&OneChoice, 256, 256 * 16, 600, 24, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "one-choice n=256 gap: p={p}\n{a:?}\n{b:?}");
 
     // greedy's histogram chain is exact at every size; this pins the
@@ -257,7 +218,7 @@ fn chi_square_occupancy_walk_regime() {
     let (a, b) = engine_histograms(&GreedyD::new(2), 256, 256 * 16, 600, 8, |o| {
         o.gap() as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "greedy[2] n=256 gap: p={p}\n{a:?}\n{b:?}");
 }
 
@@ -268,7 +229,7 @@ fn chi_square_max_load_one_choice() {
     let (a, b) = engine_histograms(&OneChoice, 128, 128 * 8, 1200, 12, |o| {
         (o.max_load() as usize).saturating_sub(8)
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "one-choice n=128 max load: p={p}\n{a:?}\n{b:?}");
 }
 

@@ -14,7 +14,7 @@
 //!   regime between the alias and the histogram engine, which now serves
 //!   that regime.
 
-use bib_analysis::chisq::chi_square_sf;
+use bib_analysis::chisq::chi_square_two_sample;
 use bib_core::batched::BatchedAdaptive;
 use bib_core::prelude::*;
 use bib_core::protocols::ThresholdSlack;
@@ -29,46 +29,6 @@ fn level_batched() -> Engine {
         "level-batched is an alias of faithful"
     );
     engine
-}
-
-/// Two-sample Pearson chi-square on a pair of histograms with pooling of
-/// sparse cells; returns the p-value of "same distribution".
-fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let na: u64 = a.iter().sum();
-    let nb: u64 = b.iter().sum();
-    assert!(na > 0 && nb > 0);
-    let (na, nb) = (na as f64, nb as f64);
-    // Pool cells until each has a combined count of ≥ 10.
-    let mut cells: Vec<(f64, f64)> = Vec::new();
-    let mut acc = (0.0, 0.0);
-    for (&x, &y) in a.iter().zip(b) {
-        acc.0 += x as f64;
-        acc.1 += y as f64;
-        if acc.0 + acc.1 >= 10.0 {
-            cells.push(acc);
-            acc = (0.0, 0.0);
-        }
-    }
-    if acc.0 + acc.1 > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += acc.0;
-            last.1 += acc.1;
-        } else {
-            cells.push(acc);
-        }
-    }
-    if cells.len() < 2 {
-        return 1.0; // both ensembles fully concentrated on one cell
-    }
-    let mut stat = 0.0;
-    for &(x, y) in &cells {
-        let tot = x + y;
-        let ex = tot * na / (na + nb);
-        let ey = tot * nb / (na + nb);
-        stat += (x - ex) * (x - ex) / ex + (y - ey) * (y - ey) / ey;
-    }
-    chi_square_sf((cells.len() - 1) as u64, stat)
 }
 
 /// Histograms a per-outcome statistic over replicate ensembles of the
@@ -157,6 +117,6 @@ fn chi_square_heavy_load_regime_matches_faithful() {
     // normal-approximated splits. (The n = 8, m = 1024·8 case runs in
     // `histogram_equivalence.rs::chi_square_heavy_load_regime`.)
     let (a, b) = engine_histograms(&Threshold, 64, 64 * 256, 800, 10, |o| o.gap() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-4, "threshold n=64 heavy gap: p={p}\n{a:?}\n{b:?}");
 }

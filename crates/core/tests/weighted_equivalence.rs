@@ -22,7 +22,7 @@
 //! the >`MAX_WEIGHT_CLASSES` quantized regime is covered separately by
 //! an invariant test since its bounds are intentionally approximate).
 
-use bib_analysis::chisq::{chi_square_gof, chi_square_sf};
+use bib_analysis::chisq::{chi_square_gof, chi_square_two_sample};
 use bib_core::prelude::*;
 use bib_core::run::run_protocol;
 use bib_rng::dist::{AliasTable, Distribution};
@@ -46,45 +46,6 @@ fn shapes(n: usize) -> Vec<(&'static str, Vec<f64>)> {
             (0..n).map(|j| 1.5f64.powi((j % 16) as i32)).collect(),
         ),
     ]
-}
-
-/// Two-sample Pearson chi-square on a pair of histograms with pooling
-/// of sparse cells; returns the p-value of "same distribution".
-fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let na: u64 = a.iter().sum();
-    let nb: u64 = b.iter().sum();
-    assert!(na > 0 && nb > 0);
-    let (na, nb) = (na as f64, nb as f64);
-    let mut cells: Vec<(f64, f64)> = Vec::new();
-    let mut acc = (0.0, 0.0);
-    for (&x, &y) in a.iter().zip(b) {
-        acc.0 += x as f64;
-        acc.1 += y as f64;
-        if acc.0 + acc.1 >= 10.0 {
-            cells.push(acc);
-            acc = (0.0, 0.0);
-        }
-    }
-    if acc.0 + acc.1 > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += acc.0;
-            last.1 += acc.1;
-        } else {
-            cells.push(acc);
-        }
-    }
-    if cells.len() < 2 {
-        return 1.0;
-    }
-    let mut stat = 0.0;
-    for &(x, y) in &cells {
-        let tot = x + y;
-        let ex = tot * na / (na + nb);
-        let ey = tot * nb / (na + nb);
-        stat += (x - ex) * (x - ex) / ex + (y - ey) * (y - ey) / ey;
-    }
-    chi_square_sf((cells.len() - 1) as u64, stat)
 }
 
 // --------------------------------------------------------------------
@@ -187,7 +148,7 @@ fn engines_agree_on_single_bin_loads_across_shapes() {
             let (a, b) = engine_histograms(&proto, n, m, 220, 10, |o| {
                 (o.loads[bin] as usize).saturating_sub(lo)
             });
-            let p = two_sample_p(&a, &b);
+            let p = chi_square_two_sample(&a, &b);
             assert!(
                 p > 1e-3,
                 "{tag}: bin {bin} load distribution diverged, p = {p:.2e} ({a:?} vs {b:?})"
@@ -208,13 +169,13 @@ fn engines_agree_on_aggregate_functionals() {
             // max overload in [0, 2]: bucket at 0.25 resolution
             (o.max_overload().max(0.0) * 4.0) as usize
         });
-        let p = two_sample_p(&a, &b);
+        let p = chi_square_two_sample(&a, &b);
         assert!(p > 1e-3, "{tag}: max-overload law diverged, p = {p:.2e}");
 
         let (a, b) = engine_histograms(&proto, n, m, 200, 12, |o| {
             ((o.time_ratio() - 1.0) * 20.0).max(0.0) as usize
         });
-        let p = two_sample_p(&a, &b);
+        let p = chi_square_two_sample(&a, &b);
         assert!(p > 1e-3, "{tag}: allocation-time law diverged, p = {p:.2e}");
     }
 }
@@ -271,7 +232,7 @@ fn engines_agree_for_weighted_one_choice() {
     let (a, b) = engine_histograms(&proto, n, m, 250, 14, |o| {
         ((o.loads[0] as usize).saturating_sub(lo)) / 4
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > 1e-3, "one-choice heavy-bin law diverged, p = {p:.2e}");
 }
 

@@ -1,6 +1,6 @@
 //! Lenzen–Wattenhofer-style bounded-load parallel allocation [12].
 //!
-//! Reproduction note (see DESIGN.md §2): the published protocol's exact
+//! Reproduction note: the published protocol's exact
 //! contact schedule is tuned for the `log* n + O(1)` constant; we
 //! implement the operational core — *bins accept at most `cap` balls
 //! ever; unplaced balls contact `k_r` bins in round `r` with `k_r`

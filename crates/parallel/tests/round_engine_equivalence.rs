@@ -23,51 +23,12 @@
 //! * `Engine::Auto` resolution: deterministic and stream-identical to
 //!   the concrete engine it resolves to.
 
-use bib_analysis::chisq::{chi_square_gof, chi_square_sf};
+use bib_analysis::chisq::{chi_square_gof, chi_square_two_sample};
 use bib_core::prelude::*;
 use bib_core::protocol::StageTrace;
 use bib_core::run::{run_protocol, run_with_observer};
 use bib_parallel::protocols::{BoundedLoad, Collision, ParallelGreedy};
 use std::collections::BTreeMap;
-
-/// Two-sample Pearson chi-square on a pair of histograms with pooling
-/// of sparse cells; returns the p-value of "same distribution".
-fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let na: u64 = a.iter().sum();
-    let nb: u64 = b.iter().sum();
-    assert!(na > 0 && nb > 0);
-    let (na, nb) = (na as f64, nb as f64);
-    let mut cells: Vec<(f64, f64)> = Vec::new();
-    let mut acc = (0.0, 0.0);
-    for (&x, &y) in a.iter().zip(b) {
-        acc.0 += x as f64;
-        acc.1 += y as f64;
-        if acc.0 + acc.1 >= 10.0 {
-            cells.push(acc);
-            acc = (0.0, 0.0);
-        }
-    }
-    if acc.0 + acc.1 > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += acc.0;
-            last.1 += acc.1;
-        } else {
-            cells.push(acc);
-        }
-    }
-    if cells.len() < 2 {
-        return 1.0;
-    }
-    let mut stat = 0.0;
-    for &(x, y) in &cells {
-        let tot = x + y;
-        let ex = tot * na / (na + nb);
-        let ey = tot * nb / (na + nb);
-        stat += (x - ex) * (x - ex) / ex + (y - ey) * (y - ey) / ey;
-    }
-    chi_square_sf((cells.len() - 1) as u64, stat)
-}
 
 /// Histograms a per-outcome statistic over replicate ensembles of the
 /// faithful and round-occupancy engines.
@@ -110,19 +71,19 @@ fn collision_marginals_match() {
     let (n, m, reps) = (2048usize, 2048u64, 400u64);
     let proto = Collision::new(1);
     let (a, b) = engine_histograms(&proto, n, m, reps, 12, |o| o.max_load() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > ALPHA,
         "collision max-load: p = {p:.2e} ({a:?} vs {b:?})"
     );
     let (a, b) = engine_histograms(&proto, n, m, reps, 16, |o| o.rounds() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > ALPHA, "collision rounds: p = {p:.2e} ({a:?} vs {b:?})");
     // Messages live in [2m, ~4m]; bucket the excess over the floor.
     let (a, b) = engine_histograms(&proto, n, m, reps, 40, |o| {
         ((o.messages().saturating_sub(2 * m)) / (m / 24).max(1)) as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > ALPHA,
         "collision messages: p = {p:.2e} ({a:?} vs {b:?})"
@@ -135,10 +96,10 @@ fn collision_larger_threshold_marginals_match() {
     let (n, m, reps) = (1024usize, 1024u64, 300u64);
     let proto = Collision::new(2);
     let (a, b) = engine_histograms(&proto, n, m, reps, 12, |o| o.max_load() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > ALPHA, "collision(2) max-load: p = {p:.2e}");
     let (a, b) = engine_histograms(&proto, n, m, reps, 12, |o| o.rounds() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > ALPHA, "collision(2) rounds: p = {p:.2e}");
 }
 
@@ -147,7 +108,7 @@ fn bounded_load_marginals_match() {
     let (n, m, reps) = (1024usize, 1024u64, 400u64);
     let proto = BoundedLoad::new(2);
     let (a, b) = engine_histograms(&proto, n, m, reps, 12, |o| o.rounds() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > ALPHA,
         "bounded-load rounds: p = {p:.2e} ({a:?} vs {b:?})"
@@ -155,7 +116,7 @@ fn bounded_load_marginals_match() {
     let (a, b) = engine_histograms(&proto, n, m, reps, 40, |o| {
         ((o.messages().saturating_sub(m)) / (m / 12).max(1)) as usize
     });
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(
         p > ALPHA,
         "bounded-load messages: p = {p:.2e} ({a:?} vs {b:?})"
@@ -163,7 +124,7 @@ fn bounded_load_marginals_match() {
     // Max load is ≤ cap surely (and almost surely = cap at m = n);
     // compare the marginal anyway — a degenerate pair pools to p = 1.
     let (a, b) = engine_histograms(&proto, n, m, reps, 4, |o| o.max_load() as usize);
-    let p = two_sample_p(&a, &b);
+    let p = chi_square_two_sample(&a, &b);
     assert!(p > ALPHA, "bounded-load max-load: p = {p:.2e}");
 }
 
@@ -173,7 +134,7 @@ fn parallel_greedy_marginals_match() {
         let (n, m, reps) = (1024usize, 1024u64, 400u64);
         let proto = ParallelGreedy::new(2, rounds, 1);
         let (a, b) = engine_histograms(&proto, n, m, reps, 10, |o| o.max_load() as usize);
-        let p = two_sample_p(&a, &b);
+        let p = chi_square_two_sample(&a, &b);
         assert!(
             p > ALPHA,
             "pg(r={rounds}) max-load: p = {p:.2e} ({a:?} vs {b:?})"
@@ -181,13 +142,13 @@ fn parallel_greedy_marginals_match() {
         let (a, b) = engine_histograms(&proto, n, m, reps, 40, |o| {
             ((o.messages().saturating_sub(m)) / (m / 16).max(1)) as usize
         });
-        let p = two_sample_p(&a, &b);
+        let p = chi_square_two_sample(&a, &b);
         assert!(
             p > ALPHA,
             "pg(r={rounds}) messages: p = {p:.2e} ({a:?} vs {b:?})"
         );
         let (a, b) = engine_histograms(&proto, n, m, reps, 8, |o| o.rounds() as usize);
-        let p = two_sample_p(&a, &b);
+        let p = chi_square_two_sample(&a, &b);
         assert!(p > ALPHA, "pg(r={rounds}) rounds: p = {p:.2e}");
     }
 }

@@ -1,6 +1,6 @@
 //! Czumaj–Riley–Scheideler self-balancing allocation \[6\].
 //!
-//! Reproduction note (DESIGN.md §2): the published algorithm's phase
+//! Reproduction note: the published algorithm's phase
 //! structure is proof-oriented; we implement the operational core it
 //! analyses. Every ball draws **two** uniform bin choices which stay
 //! fixed forever. The initial placement is `greedy[2]`. Then

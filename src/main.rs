@@ -28,8 +28,8 @@
 //! the per-tick CSV (tick, in-system, gap, max load, alive ppm,
 //! cumulative counters).
 //!
-//! Out-of-range input (`--n 0`, an `--m` whose bound `⌈m/n⌉ + 1` does
-//! not fit `u32`, `left[2]` with one bin,
+//! Out-of-range input (`--n 0`, an `--m` or a `serve --arrivals` whose
+//! bound `⌈m/n⌉ + 1` does not fit `u32`, `left[2]` with one bin,
 //! `bounded-load(cap=0)`, `--ticks 0`, a zero probe or retry budget,
 //! `greedy[d]` with `d` above the probe budget, a fallback fraction
 //! outside [0, 1], a budget that does not fit `u32`) is reported as an
@@ -319,6 +319,13 @@ fn main() {
             }
             if n == 0 {
                 eprintln!("error: --n must be at least 1");
+                usage()
+            }
+            if RunConfig::new(n, arrivals).max_load_bound() > u64::from(u32::MAX) {
+                eprintln!(
+                    "error: --arrivals {arrivals} is too large for --n {n}: ⌈arrivals/n⌉ + 1 \
+                     must fit in u32"
+                );
                 usage()
             }
             if ticks == 0 {

@@ -135,6 +135,39 @@ fn out_of_range_input_is_an_error_not_a_panic() {
             ],
             "--m",
         ),
+        // serve applies the same bound to --arrivals, whatever the family.
+        (
+            vec![
+                "serve",
+                "--n",
+                "1",
+                "--arrivals",
+                "5000000000",
+                "--ticks",
+                "1",
+                "--depart",
+                "0",
+                "--family",
+                "one-choice",
+            ],
+            "--arrivals",
+        ),
+        (
+            vec![
+                "serve",
+                "--n",
+                "1",
+                "--arrivals",
+                "5000000000",
+                "--ticks",
+                "1",
+                "--depart",
+                "0",
+                "--family",
+                "greedy[2]",
+            ],
+            "--arrivals",
+        ),
         // At n = 1 the bound ⌈m/n⌉ + 1 itself would overflow u64.
         (
             vec![

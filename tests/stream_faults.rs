@@ -251,17 +251,17 @@ fn pinned_spec() -> (StreamSpec, RunConfig) {
 
 /// Draw-stream pins: a faulted serve run per family under the perfbench
 /// plan, digested by [`serve_digest`]. Any change to the draws a serve
-/// run makes — the contact draws, the rank → load map, the fault
-/// splits, the departures, the one-choice placement of a fallback
-/// tick — moves these. A change that alters the draw stream on purpose
+/// run makes — the attempt-law splits, the below-bound batches, the
+/// rank → load map, the fault splits, the departures, the one-choice
+/// placement of a fallback tick — moves these. A change that alters the draw stream on purpose
 /// updates the pins and says so.
 #[test]
 fn faulted_serve_draw_stream_is_pinned() {
     let pins = [
         (Family::OneChoice, 0xdb0e_2aa3_c3c2_0869u64),
         (Family::Greedy(2), 0xa5b1_0eb5_b16a_8a31),
-        (Family::Adaptive, 0x1ebb_4f6a_e858_a884),
-        (Family::Threshold, 0xb13d_77af_d8d5_f002),
+        (Family::Adaptive, 0x8194_600a_239e_0836),
+        (Family::Threshold, 0x2bc2_1dcc_af4d_3ae3),
     ];
     let seed = 5u64;
     let plan = FaultPlan::parse(
@@ -282,13 +282,15 @@ fn faulted_serve_draw_stream_is_pinned() {
 
 /// Draw-stream pins of fault-free serve runs of the families that never
 /// place a ball by the one-choice law: `greedy[2]` (least-of-2 rank
-/// chain), adaptive and threshold (per-contact below-bound chain).
+/// chain), adaptive and threshold (below-bound ticks priced in batches:
+/// one attempt-law split, a `Geometric` count of sure placements per
+/// ambiguous one, one rank draw per landing).
 #[test]
 fn fault_free_serve_draw_stream_is_pinned() {
     let pins = [
         (Family::Greedy(2), 0x5d18_54bc_48ad_a08cu64),
-        (Family::Adaptive, 0x611f_eca4_411d_ad3e),
-        (Family::Threshold, 0x4967_caf7_c0f2_2b67),
+        (Family::Adaptive, 0x8c06_c42a_e506_19dc),
+        (Family::Threshold, 0x1a3c_632e_5fa4_90e7),
     ];
     let (spec, cfg) = pinned_spec();
     for (family, pin) in pins {
